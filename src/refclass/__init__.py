@@ -11,17 +11,13 @@ __version__ = "0.1.0"
 
 from .assign import PruneConfig, prune, prune_classification
 from .corpus import Corpus, CorpusError, Paper, eligible_papers, load_corpus
-from .engine import (Classification, EngineConfig, accumulate_reference_vectors,
-                     propagate_limited, propagate_unlimited, run,
-                     squared_difference)
+from .engine import Classification, EngineConfig, run
 from .scheme import (CategoryScheme, JournalAssignment, SchemeError,
                      fractionalize_journal, load_scheme, reference_scheme)
 
 __all__ = [
     "Classification", "CategoryScheme", "Corpus", "CorpusError", "EngineConfig",
-    "JournalAssignment", "Paper", "PruneConfig", "SchemeError",
-    "accumulate_reference_vectors", "eligible_papers", "fractionalize_journal",
-    "load_corpus", "load_scheme", "propagate_limited", "propagate_unlimited",
-    "prune", "prune_classification", "reference_scheme", "run",
-    "squared_difference",
+    "JournalAssignment", "Paper", "PruneConfig", "SchemeError", "eligible_papers",
+    "fractionalize_journal", "load_corpus", "load_scheme", "prune",
+    "prune_classification", "reference_scheme", "run",
 ]

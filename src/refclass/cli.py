@@ -91,6 +91,8 @@ def _initial_classification(corpus, min_refs: int) -> Classification:
 
 
 def cmd_run(args) -> int:
+    if args.out is None:
+        raise CliError("--out required")
     if args.variants is None:
         variants = list(ALL_VARIANTS)
     else:
@@ -106,15 +108,14 @@ def cmd_run(args) -> int:
 
     log_lines = [f"refclass {__version__}",
                  f"papers={len(corpus)} references={len(corpus.ref_ids)}",
-                 f"min_refs={args.min_refs} threads={args.threads} "
-                 f"threshold_mode={args.threshold_mode}"]
+                 f"min_refs={args.min_refs} threshold_mode={args.threshold_mode}"]
     raw: dict[str, Classification] = {}
     for weight in ("NF", "F"):
         if not any(w == weight for _, w, _ in parsed):
             continue
         config = _engine_config(args, fractional=(weight == "F"))
         t0 = time.perf_counter()
-        jl, u1 = run(corpus, config, threads=args.threads)
+        jl, u1 = run(corpus, config)
         raw[f"JL-{weight}"] = jl
         raw[f"U1-{weight}"] = u1
         log_lines.append(
@@ -170,7 +171,7 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for fractional in (False, True):
         config = _engine_config(args, fractional)
-        jl, u1 = run(corpus, config, threads=args.threads)
+        jl, u1 = run(corpus, config)
         try:
             oracle_jl, oracle_u1 = dense_run(corpus, config)
         except OracleSizeError as exc:
@@ -218,7 +219,8 @@ def _add_corpus_args(p):
 
 
 def _add_engine_args(p):
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="deprecated; has no effect")
     p.add_argument("--min-refs", type=int, default=DEFAULT_MIN_REFS)
     p.add_argument("--threshold-mode", choices=("absolute", "per-paper"),
                    default="per-paper")
@@ -229,7 +231,8 @@ def _add_engine_args(p):
                    help="exclude short-reference papers from the citing scope")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(run_defaults=None) -> argparse.ArgumentParser:
+    """The CLI parser; ``run_defaults`` replaces defaults of ``run`` flags."""
     parser = argparse.ArgumentParser(
         prog="refclass",
         description="Reference-based paper-by-paper subject classification")
@@ -240,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with defaults for any flag")
     _add_corpus_args(p)
     _add_engine_args(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", help="output directory (required here or in --config)")
     p.add_argument("--variants",
                    help="comma list like JL-F-0.8,U1-NF-raw (default: all 12)")
     p.add_argument("--compare", action="append", metavar="NAME=PATH",
                    help="external classification table to include in the report")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, **(run_defaults or {}))
 
     p = sub.add_parser("synth", help="generate a synthetic planted corpus")
     p.add_argument("--out", required=True)
@@ -279,25 +282,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args, parser):
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line; values from ``run --config`` replace flag defaults.
+
+    The file's values act as defaults, so any flag given on the command
+    line wins, even when it equals the built-in default.
+    """
+    args = build_parser().parse_args(argv)
     if not getattr(args, "config", None):
         return args
     overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    flags = set(vars(args)) - {"command", "func", "config"}
+    defaults = {}
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flags:
             raise CliError(f"unknown config key {key!r}")
-        # only fill values the command line left at their default/None
-        if getattr(args, attr) in (None, [], False):
-            setattr(args, attr, value)
-    return args
+        defaults[attr] = value
+    return build_parser(defaults).parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, parser)
+        args = parse_args(argv)
+        if getattr(args, "threads", 1) != 1:
+            print("warning: --threads is deprecated and has no effect", file=sys.stderr)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

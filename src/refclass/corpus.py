@@ -9,14 +9,13 @@ share across workers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .scheme import CategoryScheme, JournalAssignment, fractionalize_journal
+from .scheme import (CategoryScheme, JournalAssignment, fractionalize_journal,
+                     iter_rows)
 from .weights import vec_sum
 
 DEFAULT_MIN_REFS = 3
@@ -131,7 +130,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
     Duplicate (paper, reference) rows are kept as distinct slots.
     """
     raw_journals: dict[str, list[tuple[int, float]]] = {}
-    for row in _iter_rows(journals_path, ("journal_id", "code"), delimiter):
+    for row in iter_rows(journals_path, ("journal_id", "code"), delimiter, CorpusError):
         try:
             code = int(row["code"])
             degree = float(row.get("degree") or 1.0)
@@ -143,7 +142,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
     vectors = {jid: fractionalize_journal(ja, scheme) for jid, ja in journals.items()}
 
     paper_journal: dict[str, str] = {}
-    for row in _iter_rows(papers_path, ("paper_id", "journal_id"), delimiter):
+    for row in iter_rows(papers_path, ("paper_id", "journal_id"), delimiter, CorpusError):
         pid, jid = row["paper_id"], row["journal_id"]
         if pid in paper_journal:
             raise CorpusError(f"duplicate paper id {pid}")
@@ -154,7 +153,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
         raise CorpusError("empty corpus")
 
     references: dict[str, list[str]] = {pid: [] for pid in paper_journal}
-    for row in _iter_rows(refs_path, ("paper_id", "reference_id"), delimiter):
+    for row in iter_rows(refs_path, ("paper_id", "reference_id"), delimiter, CorpusError):
         pid = row["paper_id"]
         if pid not in references:
             raise CorpusError(f"reference row for unknown paper {pid}")
@@ -168,29 +167,3 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
         papers[pid] = Paper(pid, jid, vec, tuple(references[pid]))
     return Corpus(papers, journals, scheme)
 
-
-def _iter_rows(source, required_columns, delimiter):
-    """Stream rows of a delimited table with a header as dicts."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            yield from _iter_rows(fh, required_columns, delimiter)
-        return
-    if delimiter is None:
-        pos = source.tell()
-        sample = source.readline()
-        source.seek(pos)
-        delimiter = next((c for c in (",", ";", "\t", "|") if c in sample), ",")
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise CorpusError("empty table") from None
-    missing = [c for c in required_columns if c not in header]
-    if missing:
-        raise CorpusError(f"missing columns {missing} (header: {header})")
-    for raw in reader:
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue
-        if len(raw) < len(required_columns):
-            raise CorpusError(f"malformed row: {raw}")
-        yield {h: v.strip() for h, v in zip(header, raw)}

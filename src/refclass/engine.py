@@ -9,24 +9,20 @@ configured threshold; the snapshot at that point is the journal-limited
 (JL) result.  One further unmasked pass yields the unlimited (U1) result.
 
 All reductions happen in a fixed canonical order (ascending paper id /
-reference id / category code), so results are bit-identical regardless of
-the worker count.
+reference id / category code), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, DEFAULT_MIN_REFS
-from .scheme import CategoryScheme
-from .weights import squared_distance
+from .corpus import Corpus, CorpusError, DEFAULT_MIN_REFS
+from .scheme import CategoryScheme, iter_rows
 
 # 3000 / 3246022: the absolute stopping budget expressed per classified paper,
 # so that corpora of any size terminate at a comparable precision.
@@ -90,26 +86,11 @@ class Classification:
     stalled: int = 0
 
 
-PropagateResult = namedtuple("PropagateResult", ["vectors", "stalled"])
-
-
 # ---------------------------------------------------------------------------
 # matrix kernels
 
-def _matmul(a: sp.csr_matrix, b: sp.csr_matrix, threads: int = 1) -> sp.csr_matrix:
-    """Sparse product with optional row-parallelism.
-
-    Each output row depends only on the matching row of ``a``, so splitting
-    by row blocks and restacking reproduces the serial result bit for bit.
-    """
-    if threads <= 1 or a.shape[0] < 2 * threads:
-        out = (a @ b).tocsr()
-    else:
-        bounds = np.linspace(0, a.shape[0], threads + 1).astype(int)
-        blocks = [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda blk: (blk @ b).tocsr(), blocks))
-        out = sp.vstack(parts, format="csr")
+def _matmul(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    out = (a @ b).tocsr()
     out.sort_indices()
     return out
 
@@ -132,22 +113,22 @@ def _support(m: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def _accumulate_matrix(incidence_t, w, inv_refs=None, threads=1):
+def _accumulate_matrix(incidence_t, w, inv_refs=None):
     """References x categories matrix: normalized sums of citing-paper rows."""
     if inv_refs is not None:
         w = sp.diags(inv_refs) @ w
-    acc = _matmul(incidence_t, w, threads)
+    acc = _matmul(incidence_t, w)
     acc, _ = _row_normalize(acc)
     return acc
 
 
-def _propagate_matrix(incidence, ref_w, prev=None, mask=None, threads=1):
+def _propagate_matrix(incidence, ref_w, prev=None, mask=None):
     """Paper rows: masked sums of cited reference rows, renormalized.
 
     Rows whose (masked) sum vanishes fall back to the matching row of
     ``prev`` and are reported as stalled.
     """
-    out = _matmul(incidence, ref_w, threads)
+    out = _matmul(incidence, ref_w)
     if mask is not None:
         out = out.multiply(mask).tocsr()
     out, zero = _row_normalize(out)
@@ -168,118 +149,17 @@ def _rows_to_vectors(m: sp.csr_matrix, ids) -> dict[str, dict[int, float]]:
     return out
 
 
-def _vectors_to_matrix(vectors, ids, k) -> sp.csr_matrix:
-    rows, cols, data = [], [], []
-    index = {pid: i for i, pid in enumerate(ids)}
-    for pid in ids:
-        i = index[pid]
-        for c, w in sorted(vectors[pid].items()):
-            rows.append(i)
-            cols.append(c)
-            data.append(w)
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(ids), k))
-
-
-# ---------------------------------------------------------------------------
-# contract operations (thin wrappers over the kernels)
-
-def accumulate_reference_vectors(corpus: Corpus, current: dict, fractional: bool = False,
-                                 threads: int = 1) -> dict[str, dict[int, float]]:
-    """Reference vectors from the papers in ``current`` (the citing scope).
-
-    Each reference gets the (optionally 1/N_p weighted) sum of its citers'
-    vectors, normalized to unit sum.  References with no citers in scope
-    are absent from the result.
-    """
-    pids = sorted(current)
-    rows = [corpus.paper_row[pid] for pid in pids]
-    incidence, _, ref_counts = corpus.matrices()
-    sub = incidence[rows]
-    w = _vectors_to_matrix(current, pids, corpus.scheme.size)
-    inv = None
-    if fractional:
-        counts = ref_counts[rows].astype(float)
-        inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-    acc = _accumulate_matrix(sub.T.tocsr(), w, inv, threads)
-    acc = acc.tocsr()
-    out = {}
-    indptr, indices, data = acc.indptr, acc.indices, acc.data
-    for j, rid in enumerate(corpus.ref_ids):
-        lo, hi = indptr[j], indptr[j + 1]
-        if hi > lo:
-            out[rid] = {int(c): float(v)
-                        for c, v in zip(indices[lo:hi], data[lo:hi]) if v != 0.0}
-    return out
-
-
-def _ref_matrix(corpus, ref_vectors):
-    rows, cols, data = [], [], []
-    for rid, vec in ref_vectors.items():
-        j = corpus.ref_col[rid]
-        for c, w in sorted(vec.items()):
-            rows.append(j)
-            cols.append(c)
-            data.append(w)
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(corpus.ref_ids), corpus.scheme.size))
-
-
-def propagate_limited(corpus: Corpus, ref_vectors: dict, support: dict,
-                      previous: dict | None = None, threads: int = 1) -> PropagateResult:
-    """Support-restricted back-propagation onto the papers in ``support``.
-
-    ``support[pid]`` is the allowed category index set.  Papers whose masked
-    sum vanishes keep their ``previous`` vector (default: the journal
-    vector) and are listed as stalled.
-    """
-    pids = sorted(support)
-    rows = [corpus.paper_row[pid] for pid in pids]
-    incidence, _, _ = corpus.matrices()
-    refs = _ref_matrix(corpus, ref_vectors)
-    if previous is None:
-        previous = {pid: corpus.papers[pid].initial_vector for pid in pids}
-    prev = _vectors_to_matrix(previous, pids, corpus.scheme.size)
-    mask = _vectors_to_matrix(
-        {pid: {c: 1.0 for c in support[pid]} for pid in pids},
-        pids, corpus.scheme.size)
-    out, zero = _propagate_matrix(incidence[rows], refs, prev, mask, threads)
-    stalled = [pids[i] for i in np.flatnonzero(zero)]
-    return PropagateResult(_rows_to_vectors(out, pids), stalled)
-
-
-def propagate_unlimited(corpus: Corpus, ref_vectors: dict, papers=None,
-                        previous: dict | None = None, threads: int = 1) -> PropagateResult:
-    """Unmasked back-propagation (papers may gain weight in any category)."""
-    pids = sorted(papers if papers is not None else corpus.paper_ids)
-    rows = [corpus.paper_row[pid] for pid in pids]
-    incidence, _, _ = corpus.matrices()
-    refs = _ref_matrix(corpus, ref_vectors)
-    if previous is None:
-        previous = {pid: corpus.papers[pid].initial_vector for pid in pids}
-    prev = _vectors_to_matrix(previous, pids, corpus.scheme.size)
-    out, zero = _propagate_matrix(incidence[rows], refs, prev, None, threads)
-    stalled = [pids[i] for i in np.flatnonzero(zero)]
-    return PropagateResult(_rows_to_vectors(out, pids), stalled)
-
-
-def squared_difference(current: dict, previous: dict) -> float:
-    """Total squared component difference between two paper->vector maps."""
-    if set(current) != set(previous):
-        raise EngineError("squared_difference: mismatched paper sets")
-    return sum(squared_distance(current[pid], previous[pid]) for pid in sorted(current))
-
-
 # ---------------------------------------------------------------------------
 # full run
 
-def run(corpus: Corpus, config: EngineConfig, threads: int = 1):
+def run(corpus: Corpus, config: EngineConfig):
     """Execute the full loop and return the (JL, U1) classification pair."""
     incidence, w0, ref_counts = corpus.matrices()
     n = len(corpus.paper_ids)
-    elig_ids = sorted(corpus.eligible(config.min_refs))
-    if not elig_ids:
+    elig_rows = np.flatnonzero(ref_counts >= config.min_refs)
+    if not len(elig_rows):
         raise EngineError("no eligible papers")
-    elig_rows = np.array([corpus.paper_row[pid] for pid in elig_ids])
+    elig_ids = [corpus.paper_ids[i] for i in elig_rows]
     elig_mask = np.zeros(n, dtype=bool)
     elig_mask[elig_rows] = True
 
@@ -298,57 +178,52 @@ def run(corpus: Corpus, config: EngineConfig, threads: int = 1):
         shape=(n, len(elig_rows)))
     frozen = (sp.diags((~elig_mask).astype(float)) @ w0).tocsr()
 
+    def step(w_el, w_full, mask):
+        """One accumulate -> propagate -> re-embed step (mask None: unlimited).
+
+        Returns the new eligible rows, the new full matrix and the stalled count.
+        """
+        refs = _accumulate_matrix(incidence_t, w_full[scope_rows], inv)
+        w_new, zero = _propagate_matrix(incidence_el, refs, w_el, mask)
+        return w_new, (frozen + embed @ w_new).tocsr(), int(zero.sum())
+
     threshold = config.effective_threshold(len(elig_ids))
     w_el = w0[elig_rows].tocsr()
     w_full = w0.tocsr()
     trace: list[float] = []
-    stalled_total = 0
+    stalled = 0
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        refs = _accumulate_matrix(incidence_t, w_full[scope_rows], inv, threads)
-        mask = _support(w_el)
-        w_new, zero = _propagate_matrix(incidence_el, refs, w_el, mask, threads)
-        stalled_total += int(zero.sum())
+        w_new, w_full, n_stalled = step(w_el, w_full, _support(w_el))
+        stalled += n_stalled
         diff = (w_new - w_el).tocsr()
         residual = float(diff.multiply(diff).sum())
         trace.append(residual)
         w_el = w_new
-        w_full = (frozen + embed @ w_el).tocsr()
         if residual < threshold:
             converged = True
             break
 
     _check_support(w_el, w0[elig_rows])
     unreclassified = frozenset(corpus.paper_ids) - frozenset(elig_ids)
-    jl = Classification(
-        variant_label=f"JL-{config.weight_label}",
-        vectors=_rows_to_vectors(w_el, elig_ids),
-        unreclassified=unreclassified,
-        iterations_run=iterations,
-        residual_trace=list(trace),
-        converged=converged,
-        stalled=stalled_total,
-    )
 
-    w_el_u = w_el
-    w_full_u = w_full
-    u_stalled = 0
+    def classification(phase, w, n_stalled):
+        return Classification(
+            variant_label=f"{phase}-{config.weight_label}",
+            vectors=_rows_to_vectors(w, elig_ids),
+            unreclassified=unreclassified,
+            iterations_run=iterations,
+            residual_trace=list(trace),
+            converged=converged,
+            stalled=n_stalled,
+        )
+
+    jl = classification("JL", w_el, stalled)
     for _ in range(config.unlimited_passes):
-        refs = _accumulate_matrix(incidence_t, w_full_u[scope_rows], inv, threads)
-        w_el_u, zero = _propagate_matrix(incidence_el, refs, w_el_u, None, threads)
-        u_stalled += int(zero.sum())
-        w_full_u = (frozen + embed @ w_el_u).tocsr()
-    u1 = Classification(
-        variant_label=f"U1-{config.weight_label}",
-        vectors=_rows_to_vectors(w_el_u, elig_ids),
-        unreclassified=unreclassified,
-        iterations_run=iterations,
-        residual_trace=list(trace),
-        converged=converged,
-        stalled=stalled_total + u_stalled,
-    )
-    return jl, u1
+        w_el, w_full, n_stalled = step(w_el, w_full, None)
+        stalled += n_stalled
+    return jl, classification("U1", w_el, stalled)
 
 
 def _check_support(w, w0):
@@ -399,10 +274,9 @@ def sidecar_path(path) -> Path:
 def read_classification(path, scheme: CategoryScheme, label: str | None = None,
                         delimiter: str | None = None) -> Classification:
     """Read a classification table written by write_classification."""
-    from .corpus import _iter_rows
-
     vectors: dict[str, dict[int, float]] = {}
-    for row in _iter_rows(path, ("paper_id", "category_code", "weight"), delimiter):
+    for row in iter_rows(path, ("paper_id", "category_code", "weight"), delimiter,
+                         CorpusError):
         idx = scheme.index_of(int(row["category_code"]))
         vectors.setdefault(row["paper_id"], {})[idx] = float(row["weight"])
     c = Classification(label or Path(path).stem, vectors, frozenset())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -38,7 +39,8 @@ class JournalAssignment:
     """Raw journal-level assignment: (code, degree) pairs.
 
     Codes may be regular categories, miscellaneous codes or the
-    multidisciplinary code.  Degrees are non-negative and not all zero.
+    multidisciplinary code.  Degrees are finite, non-negative and not all
+    zero.
     """
 
     journal_id: str
@@ -47,6 +49,8 @@ class JournalAssignment:
     def __post_init__(self):
         if not self.raw_assignments:
             raise SchemeError(f"journal {self.journal_id}: no assignments")
+        if not all(math.isfinite(d) for _, d in self.raw_assignments):
+            raise SchemeError(f"journal {self.journal_id}: non-finite degree")
         if all(d == 0 for _, d in self.raw_assignments):
             raise SchemeError(f"journal {self.journal_id}: all degrees zero")
         if any(d < 0 for _, d in self.raw_assignments):
@@ -122,7 +126,7 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
     ``kind`` is one of regular / misc / multidisciplinary.  ``source`` may be
     a path or an open text file.
     """
-    rows = _read_table(source, ("code", "area_code", "kind"), delimiter, SchemeError)
+    rows = list(iter_rows(source, ("code", "area_code", "kind"), delimiter))
     if not rows:
         raise SchemeError("empty scheme table")
     categories = []
@@ -197,35 +201,34 @@ def fractionalize_journal(
     return normalize(out)
 
 
-def _read_table(source, required_columns, delimiter, error_cls):
-    """Read a delimited table with a header row into a list of dicts."""
+def iter_rows(source, required_columns, delimiter=None, error_cls=SchemeError):
+    """Stream the rows of a delimited table with a header row as dicts.
+
+    ``source`` is a path or an open text file.  Without ``delimiter`` the
+    header line decides (the first of , ; tab | it contains, else comma).
+    Blank rows are skipped; problems raise ``error_cls``.
+    """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
-            return _read_table(fh, required_columns, delimiter, error_cls)
-    text_rows = list(csv.reader(source, delimiter=delimiter or _sniff(source)))
-    if not text_rows:
-        raise error_cls("empty table")
-    header = [h.strip() for h in text_rows[0]]
+            yield from iter_rows(fh, required_columns, delimiter, error_cls)
+        return
+    if delimiter is None:
+        pos = source.tell() if hasattr(source, "tell") else None
+        sample = source.readline()
+        if pos is not None:
+            source.seek(pos)
+        delimiter = next((c for c in (",", ";", "\t", "|") if c in sample), ",")
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise error_cls("empty table") from None
     missing = [c for c in required_columns if c not in header]
     if missing:
         raise error_cls(f"missing columns {missing} (header: {header})")
-    rows = []
-    for raw in text_rows[1:]:
+    for raw in reader:
         if not raw or (len(raw) == 1 and not raw[0].strip()):
             continue
         if len(raw) < len(required_columns):
             raise error_cls(f"malformed row: {raw}")
-        rows.append({h: v.strip() for h, v in zip(header, raw)})
-    return rows
-
-
-def _sniff(source) -> str:
-    """Guess the delimiter from the header line; falls back to comma."""
-    pos = source.tell() if hasattr(source, "tell") else None
-    sample = source.readline()
-    if pos is not None:
-        source.seek(pos)
-    for cand in (",", ";", "\t", "|"):
-        if cand in sample:
-            return cand
-    return ","
+        yield {h: v.strip() for h, v in zip(header, raw)}

@@ -11,9 +11,6 @@ import math
 
 import numpy as np
 
-#: tolerance on the unit-sum invariant of normalized vectors
-SUM_TOL = 1e-9
-
 
 def vec_sum(vec: dict[int, float]) -> float:
     return math.fsum(vec.values())
@@ -27,23 +24,8 @@ def normalize(vec: dict[int, float]) -> dict[int, float]:
     return {i: w / total for i, w in sorted(vec.items()) if w != 0.0}
 
 
-def squared_distance(a: dict[int, float], b: dict[int, float]) -> float:
-    keys = set(a) | set(b)
-    return math.fsum((a.get(k, 0.0) - b.get(k, 0.0)) ** 2 for k in keys)
-
-
 def to_dense(vec: dict[int, float], size: int) -> np.ndarray:
     out = np.zeros(size)
     for i, w in vec.items():
         out[i] = w
     return out
-
-
-def from_dense(arr: np.ndarray) -> dict[int, float]:
-    return {int(i): float(arr[i]) for i in np.flatnonzero(arr)}
-
-
-def is_unit(vec: dict[int, float], tol: float = SUM_TOL) -> bool:
-    """True for the zero vector or a vector summing to 1 within tol."""
-    total = vec_sum(vec)
-    return total == 0.0 or abs(total - 1.0) <= tol

@@ -228,7 +228,7 @@ def test_thread_count_does_not_change_output_bytes(tmp_path):
         out = tmp_path / f"threads{threads}"
         assert cli_main(["run", "--dir", str(corpus_dir), "--out", str(out),
                          "--threads", str(threads)]) == 0
-        # run.log records the thread count and wall time, so skip it
+        # run.log records wall time, so skip it
         outputs[threads] = {
             p.relative_to(out).as_posix(): p.read_bytes()
             for p in sorted(out.rglob("*"))
@@ -248,7 +248,7 @@ def test_large_corpus_converges_with_decreasing_residuals(tmp_path):
                          multidisciplinary_fraction=0.05)
     _, corpus = _load(generate(params).write(tmp_path))
     t0 = time.perf_counter()
-    jl, _ = run(corpus, EngineConfig(fractional=True), threads=4)
+    jl, _ = run(corpus, EngineConfig(fractional=True))
     elapsed = time.perf_counter() - t0
     trace = jl.residual_trace
     decreasing = all(b < a for a, b in zip(trace, trace[1:]))

@@ -45,9 +45,13 @@ class TestRun:
         for variant in cli.ALL_VARIANTS:
             assert f"{variant}.csv" in files
             assert f"{variant}.csv.meta.json" in files
-        assert (out / "run.log").exists()
+        assert "threads" not in (out / "run.log").read_text()
         assert (out / "report" / "structure.csv").exists()
         assert (out / "report" / "retention.csv").exists()
+
+    def test_missing_out_is_an_error(self, corpus_dir, capsys):
+        assert main(["run", "--dir", str(corpus_dir)]) == 1
+        assert "--out" in capsys.readouterr().err
 
     def test_zero_variants_is_an_error(self, corpus_dir, tmp_path, capsys):
         code = main(["run", "--dir", str(corpus_dir),
@@ -64,11 +68,28 @@ class TestRun:
 
     def test_config_file_supplies_defaults(self, corpus_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "dir": str(corpus_dir), "variants": "JL-NF-0.5"}))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg.write_text(json.dumps({
+            "dir": str(corpus_dir), "variants": "JL-NF-0.5", "out": str(out)}))
+        assert main(["run", "--config", str(cfg)]) == 0
         assert (out / "JL-NF-0.5.csv").exists()
+        # every key applies, whatever its built-in default
+        cfg.write_text(json.dumps({"threads": 4, "max_iterations": 7, "min_refs": 5,
+                                   "no_ineligible_citers": True}))
+        args = cli.parse_args(["run", "--config", str(cfg), "--out", str(out)])
+        assert (args.threads, args.max_iterations, args.min_refs) == (4, 7, 5)
+        assert args.no_ineligible_citers is True
+        # explicit flags win, also 0 and values equal to the built-in default
+        args = cli.parse_args(["run", "--config", str(cfg), "--out", str(out),
+                               "--min-refs", "0", "--max-iterations", "50",
+                               "--threads", "1"])
+        assert (args.threads, args.max_iterations, args.min_refs) == (1, 50, 0)
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iteration": 7}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "max_iteration" in capsys.readouterr().err
 
     def test_does_not_mutate_inputs(self, corpus_dir, tmp_path):
         before = read_outputs(corpus_dir)
@@ -90,6 +111,12 @@ class TestOracleCommand:
         assert main(["oracle", "--dir", str(corpus_dir)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_threads_flag_warns_first(self, corpus_dir, capsys):
+        assert main(["oracle", "--dir", str(corpus_dir), "--threads", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: --threads is deprecated and has no effect\n"
+        assert captured.out.splitlines()[-1].startswith("PASS")
+
     def test_refuses_oversized_corpus(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("refclass.oracle.ORACLE_MAX_PAPERS", 10)
         big = tmp_path / "big"
@@ -101,8 +128,8 @@ class TestOracleCommand:
         import refclass.cli as cli_mod
         real_run = cli_mod.run
 
-        def broken_run(corpus, config, threads=1):
-            jl, u1 = real_run(corpus, config, threads)
+        def broken_run(corpus, config):
+            jl, u1 = real_run(corpus, config)
             pid = sorted(jl.vectors)[0]
             vec = dict(jl.vectors[pid])
             c = next(iter(vec))

@@ -4,7 +4,7 @@ import pytest
 
 from refclass.corpus import (Corpus, CorpusError, eligible_papers, load_corpus,
                              misc_exclusive_papers, unreclassified_fraction)
-from refclass.scheme import load_scheme
+from refclass.scheme import SchemeError, load_scheme
 from refclass.weights import vec_sum
 
 from conftest import build_corpus, build_scheme
@@ -76,6 +76,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError):
             load_corpus(io.StringIO("paper_id,journal_id\np1\n"),
                         io.StringIO(JOURNALS_TEXT), io.StringIO(REFS_TEXT), scheme)
+
+    def test_nan_degree_rejected(self):
+        scheme = load_scheme(io.StringIO(SCHEME_TEXT))
+        journals = JOURNALS_TEXT + "J3,1102,nan\nJ3,1103,1\n"
+        with pytest.raises(SchemeError, match="journal J3: non-finite degree"):
+            load_corpus(io.StringIO(PAPERS_TEXT), io.StringIO(journals),
+                        io.StringIO(REFS_TEXT), scheme)
 
     def test_ref_row_for_unknown_paper_rejected(self):
         with pytest.raises(CorpusError, match="unknown paper"):

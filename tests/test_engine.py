@@ -1,11 +1,10 @@
-import math
-
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from refclass.engine import (Classification, EngineConfig, EngineError,
-                             accumulate_reference_vectors, propagate_limited,
-                             propagate_unlimited, read_classification, run,
-                             squared_difference, write_classification)
+                             _accumulate_matrix, _propagate_matrix, _rows_to_vectors,
+                             read_classification, run, write_classification)
 from refclass.oracle import dense_run, max_component_difference
 from refclass.weights import vec_sum
 
@@ -39,95 +38,98 @@ class TestConfig:
             EngineConfig(convergence_threshold=None, per_paper_threshold=None)
 
 
+def csr(rows):
+    return sp.csr_matrix(np.array(rows, dtype=float))
+
+
+def row_vectors(m):
+    """Nonzero entries of each row of a sparse matrix as {column: value} dicts."""
+    return list(_rows_to_vectors(m, range(m.shape[0])).values())
+
+
 class TestAccumulate:
+    """_accumulate_matrix: references x categories from citing-paper rows."""
+
     def test_single_citer_fixed_point(self):
-        corpus = two_cat_corpus({"p1": ("JA", ["r1"])})
-        refs = accumulate_reference_vectors(
-            corpus, {"p1": corpus.papers["p1"].initial_vector})
-        assert refs == {"r1": {0: 1.0}}
+        # p1 (1, 0) cites r1
+        refs = _accumulate_matrix(csr([[1]]).T.tocsr(), csr([[1, 0]]))
+        assert row_vectors(refs) == [{0: 1.0}]
 
     def test_symmetric_citers(self):
-        corpus = two_cat_corpus({"p1": ("JA", ["r1"]), "p2": ("JB", ["r1"])})
-        refs = accumulate_reference_vectors(
-            corpus, {p: corpus.papers[p].initial_vector for p in ("p1", "p2")})
-        approx_vec(refs["r1"], {0: 0.5, 1: 0.5})
+        # p1 (1, 0) and p2 (0, 1) both cite r1
+        refs = _accumulate_matrix(csr([[1], [1]]).T.tocsr(), csr([[1, 0], [0, 1]]))
+        approx_vec(row_vectors(refs)[0], {0: 0.5, 1: 0.5})
 
     def test_fractional_divides_by_ref_count(self):
         # A: (1,0) with 1 ref; B: (0,1) with 4 refs -> (1, 0.25) -> (0.8, 0.2)
-        corpus = two_cat_corpus({
-            "pA": ("JA", ["r1"]),
-            "pB": ("JB", ["r1", "x1", "x2", "x3"]),
-        })
-        refs = accumulate_reference_vectors(
-            corpus, {p: corpus.papers[p].initial_vector for p in ("pA", "pB")},
-            fractional=True)
-        approx_vec(refs["r1"], {0: 0.8, 1: 0.2})
+        incidence = csr([[1, 0, 0, 0], [1, 1, 1, 1]])
+        refs = _accumulate_matrix(incidence.T.tocsr(), csr([[1, 0], [0, 1]]),
+                                  np.array([1.0, 0.25]))
+        approx_vec(row_vectors(refs)[0], {0: 0.8, 1: 0.2})
 
     def test_out_of_scope_reference_absent(self):
-        corpus = two_cat_corpus({"p1": ("JA", ["r1"]), "p2": ("JB", ["r2"])})
-        refs = accumulate_reference_vectors(
-            corpus, {"p1": corpus.papers["p1"].initial_vector})
-        assert "r2" not in refs
+        # only p1 (citing r1) is in scope; r2 gets no weight at all
+        refs = _accumulate_matrix(csr([[1, 0]]).T.tocsr(), csr([[1, 0]]))
+        assert row_vectors(refs) == [{0: 1.0}, {}]
 
 
 class TestPropagate:
-    def make_three_cat(self, papers):
-        scheme = build_scheme([(1102, 1100), (1103, 1100), (1104, 1100)])
-        journals = {"J12": [(1102, 1.0), (1103, 1.0)], "J1": [(1102, 1.0)],
-                    "J3": [(1104, 1.0)]}
-        return build_corpus(scheme, journals, papers)
+    """_propagate_matrix: paper rows from cited reference rows."""
 
     def test_singleton_support_forces_fixed_point(self):
-        corpus = self.make_three_cat({"p1": ("J1", ["r1", "r2"])})
-        result = propagate_limited(
-            corpus, {"r1": {1: 1.0}, "r2": {0: 0.5, 2: 0.5}}, {"p1": {0}})
-        assert result.vectors["p1"] == {0: 1.0}
-        assert result.stalled == []
+        out, zero = _propagate_matrix(csr([[1, 1]]), csr([[0, 1, 0], [0.5, 0, 0.5]]),
+                                      csr([[1, 0, 0]]), mask=csr([[1, 0, 0]]))
+        assert row_vectors(out) == [{0: 1.0}]
+        assert not zero.any()
 
     def test_masked_sum_renormalizes(self):
         # support {c0,c1}; refs (c0:0.5, c2:0.5) and (c1:1.0) -> (1/3, 2/3)
-        corpus = self.make_three_cat({"p1": ("J12", ["r1", "r2"])})
-        result = propagate_limited(
-            corpus, {"r1": {0: 0.5, 2: 0.5}, "r2": {1: 1.0}}, {"p1": {0, 1}})
-        approx_vec(result.vectors["p1"], {0: 1 / 3, 1: 2 / 3})
+        out, _ = _propagate_matrix(csr([[1, 1]]), csr([[0.5, 0, 0.5], [0, 1, 0]]),
+                                   csr([[0.5, 0.5, 0]]), mask=csr([[1, 1, 0]]))
+        approx_vec(row_vectors(out)[0], {0: 1 / 3, 1: 2 / 3})
 
     def test_disjoint_support_stalls_and_keeps_previous(self):
-        corpus = self.make_three_cat({"p1": ("J1", ["r1"])})
-        result = propagate_limited(corpus, {"r1": {2: 1.0}}, {"p1": {0}},
-                                   previous={"p1": {0: 1.0}})
-        assert result.vectors["p1"] == {0: 1.0}
-        assert result.stalled == ["p1"]
+        out, zero = _propagate_matrix(csr([[1]]), csr([[0, 0, 1]]),
+                                      csr([[1, 0, 0]]), mask=csr([[1, 0, 0]]))
+        assert row_vectors(out) == [{0: 1.0}]
+        assert zero.tolist() == [True]
 
     def test_unlimited_single_ref(self):
-        corpus = self.make_three_cat({"p1": ("J1", ["r1"])})
-        result = propagate_unlimited(corpus, {"r1": {1: 0.25, 2: 0.75}})
-        approx_vec(result.vectors["p1"], {1: 0.25, 2: 0.75})
+        out, _ = _propagate_matrix(csr([[1]]), csr([[0, 0.25, 0.75]]), csr([[1, 0, 0]]))
+        approx_vec(row_vectors(out)[0], {1: 0.25, 2: 0.75})
 
     def test_unlimited_symmetric_pair(self):
-        corpus = self.make_three_cat({"p1": ("J1", ["r1", "r2"])})
-        result = propagate_unlimited(corpus, {"r1": {0: 1.0}, "r2": {1: 1.0}})
-        approx_vec(result.vectors["p1"], {0: 0.5, 1: 0.5})
+        out, _ = _propagate_matrix(csr([[1, 1]]), csr([[1, 0, 0], [0, 1, 0]]),
+                                   csr([[1, 0, 0]]))
+        approx_vec(row_vectors(out)[0], {0: 0.5, 1: 0.5})
 
     def test_unlimited_three_refs(self):
         # (0.5,0.5,0)+(1,0,0)+(0,0,1) = (1.5,0.5,1) -> (0.5, 1/6, 1/3)
-        corpus = self.make_three_cat({"p1": ("J1", ["r1", "r2", "r3"])})
-        result = propagate_unlimited(
-            corpus,
-            {"r1": {0: 0.5, 1: 0.5}, "r2": {0: 1.0}, "r3": {2: 1.0}})
-        approx_vec(result.vectors["p1"], {0: 0.5, 1: 1 / 6, 2: 1 / 3})
+        out, _ = _propagate_matrix(csr([[1, 1, 1]]),
+                                   csr([[0.5, 0.5, 0], [1, 0, 0], [0, 0, 1]]),
+                                   csr([[1, 0, 0]]))
+        approx_vec(row_vectors(out)[0], {0: 0.5, 1: 1 / 6, 2: 1 / 3})
 
 
-class TestSquaredDifference:
-    def test_identical_maps(self):
-        m = {"p": {0: 0.5, 1: 0.5}}
-        assert squared_difference(m, m) == 0.0
+class TestResidual:
+    """residual_trace[0]: total squared change of the first JL iteration."""
 
-    def test_opposite_unit_vectors(self):
-        assert squared_difference({"p": {0: 1.0}}, {"p": {1: 1.0}}) == 2.0
+    def test_fixed_point_has_zero_residual(self):
+        corpus = two_cat_corpus({"p1": ("JA", ["r1", "r2", "r3"]),
+                                 "p2": ("JB", ["r4", "r5", "r6"])})
+        jl, _ = run(corpus, EngineConfig())
+        assert jl.residual_trace == [0.0]
 
-    def test_mismatched_sets_rejected(self):
-        with pytest.raises(EngineError, match="mismatched"):
-            squared_difference({"p": {0: 1.0}}, {"q": {0: 1.0}})
+    def test_first_residual_by_hand(self):
+        # r1..r3 are cited by p1 (0.5, 0.5) and p2 (1, 0): each is (0.75, 0.25),
+        # so p1 moves by (0.25, -0.25) and p2 stays put -> 2 * 0.25^2
+        scheme = build_scheme([(1102, 1100), (1103, 1100)])
+        journals = {"JA": [(1102, 1.0)], "JAB": [(1102, 1.0), (1103, 1.0)]}
+        corpus = build_corpus(scheme, journals, {"p1": ("JAB", ["r1", "r2", "r3"]),
+                                                 "p2": ("JA", ["r1", "r2", "r3"])})
+        jl, _ = run(corpus, EngineConfig(max_iterations=1))
+        assert jl.residual_trace[0] == 0.125
+        assert jl.vectors["p1"] == {0: 0.75, 1: 0.25}
 
 
 class TestRun:
@@ -147,9 +149,10 @@ class TestRun:
         jl, u1 = run(corpus, EngineConfig())
         assert "p2" not in jl.vectors
         assert jl.unreclassified == frozenset({"p2"})
-        refs = accumulate_reference_vectors(
-            corpus, {p: corpus.papers[p].initial_vector for p in ("p1", "p2")})
-        assert 1 in refs["r1"]  # the short paper still contributed to r1
+        incidence, w0, _ = corpus.matrices()
+        refs = _accumulate_matrix(incidence.T.tocsr(), w0)
+        r1 = corpus.ref_col["r1"]
+        assert refs[r1, 1] > 0  # the short paper still contributed to r1
 
     def test_exclude_ineligible_citers_switch(self):
         corpus = two_cat_corpus({
@@ -204,18 +207,6 @@ class TestRun:
         for c in run(corpus, EngineConfig()):
             for vec in c.vectors.values():
                 assert abs(vec_sum(vec) - 1.0) <= 1e-9
-
-    def test_threads_do_not_change_results(self):
-        corpus = two_cat_corpus({
-            f"p{i}": ("JA" if i % 2 else "JB",
-                      [f"r{(i + j) % 7}" for j in range(4)])
-            for i in range(20)
-        })
-        jl1, u11 = run(corpus, EngineConfig(), threads=1)
-        jl8, u18 = run(corpus, EngineConfig(), threads=8)
-        assert jl1.vectors == jl8.vectors
-        assert u11.vectors == u18.vectors
-        assert jl1.residual_trace == jl8.residual_trace
 
     def test_non_convergence_is_reported_not_fatal(self):
         scheme = build_scheme([(1102, 1100), (1103, 1100), (1104, 1100)])

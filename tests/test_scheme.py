@@ -84,6 +84,11 @@ class TestFractionalize:
         with pytest.raises(SchemeError):
             JournalAssignment("j", ((1102, 0.0),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_degree_rejected(self, bad):
+        with pytest.raises(SchemeError, match="journal J: non-finite degree"):
+            JournalAssignment("J", ((1102, bad), (1103, 1.0)))
+
 
 @st.composite
 def assignments(draw):
