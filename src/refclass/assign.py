@@ -9,10 +9,13 @@ not exceeded.  Kept weights are renormalized to sum 1.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
-from .engine import Classification
+import numpy as np
+import scipy.sparse as sp
+
+from .engine import Classification, row_fsums, weight_order
 
 DEFAULT_THRESHOLDS = (0.5, 0.67, 0.8)
 DEFAULT_MAX_CATEGORIES = 5
@@ -38,31 +41,39 @@ class PruneConfig:
         return f"{self.threshold:g}"
 
 
+def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
+    """Prune every row of a papers x categories CSR matrix in one pass."""
+    counts = np.diff(m.indptr)
+    if (counts == 0).any():
+        raise ValueError("cannot prune an empty vector")
+    order = weight_order(m)
+    w = m.data[order]
+    starts = m.indptr[:-1]
+    # entry i passes when it follows its predecessor in rank closely enough;
+    # a row keeps its entries up to (not including) the first that fails
+    passes = np.empty(len(w), dtype=bool)
+    passes[1:] = w[1:] >= (config.threshold * w[:-1]) * (1.0 - _RATIO_EPS)
+    passes[starts] = True
+    passes &= np.arange(len(w)) - np.repeat(starts, counts) < config.max_categories
+    failed = np.cumsum(~passes)
+    keep = failed == np.repeat(failed[starts], counts)
+
+    indptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
+    ranked = sp.csr_matrix((w[keep], m.indices[order][keep], indptr), shape=m.shape)
+    ranked.data /= np.repeat(row_fsums(ranked), np.diff(indptr))
+    ranked.sort_indices()
+    return ranked
+
+
 def prune(vector: dict[int, float], config: PruneConfig) -> dict[int, float]:
     """Keep the dominant descending-weight prefix and renormalize."""
-    if not vector:
-        raise ValueError("cannot prune an empty vector")
-    ranked = sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [ranked[0]]
-    for idx, w in ranked[1:]:
-        if len(kept) >= config.max_categories:
-            break
-        if w >= config.threshold * kept[-1][1] * (1.0 - _RATIO_EPS):
-            kept.append((idx, w))
-        else:
-            break
-    total = math.fsum(w for _, w in kept)
-    return {idx: w / total for idx, w in kept}
+    out = _prune_rows(Classification.from_vectors("", {"": vector}).weights, config)
+    return dict(zip(out.indices.tolist(), out.data.tolist()))
 
 
 def prune_classification(c: Classification, config: PruneConfig) -> Classification:
-    """Element-wise prune; the variant label gains the threshold suffix."""
-    return Classification(
-        variant_label=f"{c.variant_label}-{config.label}",
-        vectors={pid: prune(vec, config) for pid, vec in c.vectors.items()},
-        unreclassified=c.unreclassified,
-        iterations_run=c.iterations_run,
-        residual_trace=list(c.residual_trace),
-        converged=c.converged,
-        stalled=c.stalled,
-    )
+    """Row-wise prune; the variant label gains the threshold suffix."""
+    return dataclasses.replace(
+        c, variant_label=f"{c.variant_label}-{config.label}",
+        weights=_prune_rows(c.weights, config),
+        residual_trace=list(c.residual_trace))

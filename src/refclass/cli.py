@@ -20,7 +20,8 @@ from . import __version__
 from .assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
 from .corpus import DEFAULT_MIN_REFS, load_corpus
 from .engine import (ABSOLUTE_THRESHOLD, DEFAULT_PER_PAPER_THRESHOLD, Classification,
-                     EngineConfig, read_classification, run, write_classification)
+                     EngineConfig, eligible_rows, read_classification, run,
+                     write_classification)
 from .oracle import OracleSizeError, dense_run, max_component_difference
 from .report import write_report
 from .scheme import load_scheme
@@ -83,11 +84,9 @@ def _corpus_paths(args):
 
 
 def _initial_classification(corpus, min_refs: int) -> Classification:
-    eligible = corpus.eligible(min_refs)
-    return Classification(
-        "initial",
-        {pid: dict(corpus.papers[pid].initial_vector) for pid in sorted(eligible)},
-        frozenset(corpus.paper_ids) - frozenset(eligible))
+    """The journal vectors of the papers with at least ``min_refs`` references."""
+    rows, eligible, unreclassified = eligible_rows(corpus, min_refs)
+    return Classification("initial", eligible, corpus.matrices()[1][rows], unreclassified)
 
 
 def cmd_run(args) -> int:

@@ -9,6 +9,7 @@ share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ import scipy.sparse as sp
 
 from .scheme import (CategoryScheme, JournalAssignment, fractionalize_journal,
                      iter_rows)
-from .weights import vec_sum
 
 DEFAULT_MIN_REFS = 3
 
@@ -130,7 +130,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
     Duplicate (paper, reference) rows are kept as distinct slots.
     """
     raw_journals: dict[str, list[tuple[int, float]]] = {}
-    for row in iter_rows(journals_path, ("journal_id", "code"), delimiter, CorpusError):
+    for _, row in iter_rows(journals_path, ("journal_id", "code"), delimiter, CorpusError):
         try:
             code = int(row["code"])
             degree = float(row.get("degree") or 1.0)
@@ -142,7 +142,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
     vectors = {jid: fractionalize_journal(ja, scheme) for jid, ja in journals.items()}
 
     paper_journal: dict[str, str] = {}
-    for row in iter_rows(papers_path, ("paper_id", "journal_id"), delimiter, CorpusError):
+    for _, row in iter_rows(papers_path, ("paper_id", "journal_id"), delimiter, CorpusError):
         pid, jid = row["paper_id"], row["journal_id"]
         if pid in paper_journal:
             raise CorpusError(f"duplicate paper id {pid}")
@@ -153,7 +153,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
         raise CorpusError("empty corpus")
 
     references: dict[str, list[str]] = {pid: [] for pid in paper_journal}
-    for row in iter_rows(refs_path, ("paper_id", "reference_id"), delimiter, CorpusError):
+    for _, row in iter_rows(refs_path, ("paper_id", "reference_id"), delimiter, CorpusError):
         pid = row["paper_id"]
         if pid not in references:
             raise CorpusError(f"reference row for unknown paper {pid}")
@@ -162,7 +162,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
     papers = {}
     for pid, jid in paper_journal.items():
         vec = vectors[jid]
-        if abs(vec_sum(vec) - 1.0) > 1e-9:
+        if abs(math.fsum(vec.values()) - 1.0) > 1e-9:
             raise CorpusError(f"journal {jid}: vector does not sum to 1")
         papers[pid] = Paper(pid, jid, vec, tuple(references[pid]))
     return Corpus(papers, journals, scheme)

@@ -15,8 +15,11 @@ reference id / category code), so repeated runs are bit-identical.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +31,9 @@ from .scheme import CategoryScheme, iter_rows
 # so that corpora of any size terminate at a comparable precision.
 DEFAULT_PER_PAPER_THRESHOLD = 9.243e-4
 ABSOLUTE_THRESHOLD = 3000.0
+
+# rows formatted per write call, which bounds the memory write_classification needs
+_WRITE_CHUNK_ROWS = 65536
 
 
 class EngineError(ValueError):
@@ -73,17 +79,104 @@ class EngineConfig:
         return "F" if self.fractional else "NF"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Classification:
-    """Per-paper weight vectors under a named variant."""
+    """Per-paper weight vectors under a named variant.
+
+    ``weights`` is a papers x categories CSR matrix whose row ``i`` belongs
+    to ``paper_ids[i]``; ``paper_ids`` is sorted, and the matrix has sorted
+    column indices and no explicit zeros.
+    """
 
     variant_label: str
-    vectors: dict[str, dict[int, float]]
-    unreclassified: frozenset[str]
+    paper_ids: tuple[str, ...]
+    weights: sp.csr_matrix
+    unreclassified: frozenset[str] = frozenset()
     iterations_run: int = 0
     residual_trace: list[float] = field(default_factory=list)
     converged: bool = True
     stalled: int = 0
+
+    def __post_init__(self):
+        if len(self.paper_ids) != self.weights.shape[0]:
+            raise ValueError(f"{len(self.paper_ids)} paper ids for "
+                             f"{self.weights.shape[0]} weight rows")
+
+    @classmethod
+    def from_vectors(cls, label: str, vectors: dict[str, dict[int, float]],
+                     unreclassified: frozenset[str] = frozenset(), *,
+                     n_categories: int | None = None, **meta) -> Classification:
+        """Build from paper id -> {category index: weight} maps.
+
+        ``n_categories`` defaults to one past the largest index used.
+        """
+        pids = sorted(vectors)
+        indptr, indices, data = [0], [], []
+        for pid in pids:
+            for idx, w in sorted(vectors[pid].items()):
+                if w != 0.0:
+                    indices.append(idx)
+                    data.append(w)
+            indptr.append(len(indices))
+        if n_categories is None:
+            n_categories = max(indices, default=-1) + 1
+        weights = sp.csr_matrix(
+            (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
+            shape=(len(pids), n_categories))
+        return cls(label, tuple(pids), weights, frozenset(unreclassified), **meta)
+
+    @property
+    def vectors(self) -> Mapping[str, dict[int, float]]:
+        """Read-only paper id -> {category index: weight} view, built on each access."""
+        bounds = self.weights.indptr.tolist()
+        indices = self.weights.indices.tolist()
+        data = self.weights.data.tolist()
+        return MappingProxyType({
+            pid: dict(zip(indices[lo:hi], data[lo:hi]))
+            for pid, lo, hi in zip(self.paper_ids, bounds, bounds[1:])})
+
+
+def row_fsums(m: sp.csr_matrix) -> np.ndarray:
+    """Per-row ``math.fsum`` of the stored values of a CSR matrix.
+
+    Rows with one or two stored values get it from the value itself and
+    from one addition; only longer rows need a Python-level fsum.
+    """
+    counts = np.diff(m.indptr)
+    starts = m.indptr[:-1]
+    out = np.zeros(len(counts))
+    some = counts > 0
+    out[some] = m.data[starts[some]]
+    two = counts == 2
+    out[two] += m.data[starts[two] + 1]
+    long = counts > 2
+    if long.any():
+        values = m.data[np.repeat(long, counts)].tolist()
+        bounds = np.concatenate(([0], np.cumsum(counts[long]))).tolist()
+        out[long] = [math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return out
+
+
+def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def weight_order(m: sp.csr_matrix) -> np.ndarray:
+    """Permutation of the stored entries by (row, descending weight, column).
+
+    ``m`` must have sorted indices: the sort is stable, so ties keep their
+    ascending column order.  Rows of equal length are sorted together as
+    one (rows x length) block of their stored entries.
+    """
+    counts = np.diff(m.indptr)
+    order = np.empty(m.nnz, dtype=np.intp)
+    for length in np.unique(counts[counts > 0]):
+        starts = m.indptr[:-1][counts == length][:, None]
+        slots = starts + np.arange(length)
+        order[slots] = starts + np.argsort(-m.data[slots], axis=1, kind="stable")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +230,27 @@ def _propagate_matrix(incidence, ref_w, prev=None, mask=None):
     return out, zero
 
 
-def _rows_to_vectors(m: sp.csr_matrix, ids) -> dict[str, dict[int, float]]:
-    m = m.tocsr()
-    m.sort_indices()
-    out = {}
-    indptr, indices, data = m.indptr, m.indices, m.data
-    for i, pid in enumerate(ids):
-        lo, hi = indptr[i], indptr[i + 1]
-        out[pid] = {int(c): float(w)
-                    for c, w in zip(indices[lo:hi], data[lo:hi]) if w != 0.0}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # full run
+
+def eligible_rows(corpus: Corpus, min_refs: int):
+    """Split the corpus at ``min_refs`` reference slots.
+
+    Returns the rows of the eligible papers, their ids, and the ids of the
+    other (unreclassified) papers.
+    """
+    ids = np.array(corpus.paper_ids, dtype=object)
+    eligible = corpus.matrices()[2] >= min_refs
+    return np.flatnonzero(eligible), tuple(ids[eligible]), frozenset(ids[~eligible])
+
 
 def run(corpus: Corpus, config: EngineConfig):
     """Execute the full loop and return the (JL, U1) classification pair."""
     incidence, w0, ref_counts = corpus.matrices()
     n = len(corpus.paper_ids)
-    elig_rows = np.flatnonzero(ref_counts >= config.min_refs)
+    elig_rows, elig_ids, unreclassified = eligible_rows(corpus, config.min_refs)
     if not len(elig_rows):
         raise EngineError("no eligible papers")
-    elig_ids = [corpus.paper_ids[i] for i in elig_rows]
     elig_mask = np.zeros(n, dtype=bool)
     elig_mask[elig_rows] = True
 
@@ -206,12 +297,12 @@ def run(corpus: Corpus, config: EngineConfig):
             break
 
     _check_support(w_el, w0[elig_rows])
-    unreclassified = frozenset(corpus.paper_ids) - frozenset(elig_ids)
 
     def classification(phase, w, n_stalled):
         return Classification(
             variant_label=f"{phase}-{config.weight_label}",
-            vectors=_rows_to_vectors(w, elig_ids),
+            paper_ids=elig_ids,
+            weights=_canonical(w),
             unreclassified=unreclassified,
             iterations_run=iterations,
             residual_trace=list(trace),
@@ -246,20 +337,28 @@ def write_classification(c: Classification, scheme: CategoryScheme, path,
     byte for byte.
     """
     path = Path(path)
+    w, pids = c.weights, c.paper_ids
+    order = weight_order(w)
+    codes = np.array([cat.code for cat in scheme.categories])[w.indices[order]]
+    data = w.data[order]
+    bounds = w.indptr
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(delimiter.join(("paper_id", "category_code", "weight")) + "\n")
-        for pid in sorted(c.vectors):
-            entries = sorted(c.vectors[pid].items(),
-                             key=lambda kv: (-kv[1], scheme.code_of(kv[0])))
-            for idx, w in entries:
-                fh.write(f"{pid}{delimiter}{scheme.code_of(idx)}{delimiter}{w!r}\n")
+        for start in range(0, len(pids), _WRITE_CHUNK_ROWS):
+            stop = min(start + _WRITE_CHUNK_ROWS, len(pids))
+            lo, hi = bounds[start], bounds[stop]
+            rows = np.repeat(np.arange(start, stop), np.diff(bounds[start:stop + 1]))
+            fh.writelines(
+                f"{pids[r]}{delimiter}{code}{delimiter}{wt!r}\n"
+                for r, code, wt in zip(rows.tolist(), codes[lo:hi].tolist(),
+                                       data[lo:hi].tolist()))
     meta = {
         "variant": c.variant_label,
         "iterations_run": c.iterations_run,
         "residual_trace": c.residual_trace,
         "converged": c.converged,
         "stalled": c.stalled,
-        "papers": len(c.vectors),
+        "papers": len(c.paper_ids),
         "unreclassified": len(c.unreclassified),
     }
     sidecar_path(path).write_text(
@@ -273,19 +372,56 @@ def sidecar_path(path) -> Path:
 
 def read_classification(path, scheme: CategoryScheme, label: str | None = None,
                         delimiter: str | None = None) -> Classification:
-    """Read a classification table written by write_classification."""
-    vectors: dict[str, dict[int, float]] = {}
-    for row in iter_rows(path, ("paper_id", "category_code", "weight"), delimiter,
-                         CorpusError):
-        idx = scheme.index_of(int(row["category_code"]))
-        vectors.setdefault(row["paper_id"], {})[idx] = float(row["weight"])
-    c = Classification(label or Path(path).stem, vectors, frozenset())
+    """Read a classification table written by write_classification.
+
+    Every row needs a category code of ``scheme`` and a positive finite
+    weight, and no (paper_id, category_code) pair may repeat; a row that
+    breaks this raises CorpusError naming the file, line and field.
+    """
+    pids, indices, weights, lines = [], [], [], []
+    for line, row in iter_rows(path, ("paper_id", "category_code", "weight"),
+                               delimiter, CorpusError):
+        where = f"{path}, line {line}"
+        text = row["category_code"]
+        try:
+            code = int(text)
+        except ValueError:
+            raise CorpusError(f"{where}: category_code {text!r} is not an integer") from None
+        if not scheme.is_regular(code):
+            raise CorpusError(f"{where}: category_code {code} is not in the scheme")
+        text = row["weight"]
+        try:
+            weight = float(text)
+        except ValueError:
+            raise CorpusError(f"{where}: weight {text!r} is not a number") from None
+        if not (math.isfinite(weight) and weight > 0):
+            raise CorpusError(f"{where}: weight {text!r} is not positive and finite")
+        pids.append(row["paper_id"])
+        indices.append(scheme.index_of(code))
+        weights.append(weight)
+        lines.append(line)
+
+    ids, rows = np.unique(np.array(pids, dtype=str), return_inverse=True)
+    indices = np.array(indices, dtype=np.int32)
+    order = np.lexsort((indices, rows))  # stable: a repeat follows its first row
+    rows, indices = rows[order], indices[order]
+    repeats = np.flatnonzero((rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1]))
+    if len(repeats):
+        lines = np.array(lines)
+        first = repeats[np.argmin(lines[order[repeats + 1]])]
+        raise CorpusError(
+            f"{path}, line {lines[order[first + 1]]}: paper_id {ids[rows[first]]} "
+            f"repeats category_code {scheme.code_of(indices[first])} "
+            f"of line {lines[order[first]]}")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(ids)))))
+    matrix = sp.csr_matrix((np.array(weights)[order], indices, indptr),
+                           shape=(len(ids), scheme.size))
     meta_file = sidecar_path(path)
-    if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        c.variant_label = label or meta.get("variant", c.variant_label)
-        c.iterations_run = meta.get("iterations_run", 0)
-        c.residual_trace = meta.get("residual_trace", [])
-        c.converged = meta.get("converged", True)
-        c.stalled = meta.get("stalled", 0)
-    return c
+    meta = (json.loads(meta_file.read_text(encoding="utf-8"))
+            if meta_file.exists() else {})
+    return Classification(
+        label or meta.get("variant", Path(path).stem), tuple(ids.tolist()), matrix,
+        iterations_run=meta.get("iterations_run", 0),
+        residual_trace=meta.get("residual_trace", []),
+        converged=meta.get("converged", True),
+        stalled=meta.get("stalled", 0))

@@ -1,8 +1,9 @@
 """Scientometric indicators over one or more classifications.
 
-All functions are pure and iterate in canonical order (ascending paper id,
-ascending category index), so results are deterministic.  Formula choices
-for quantities that admit more than one reading are versioned in
+All functions are pure sparse linear algebra over the classifications'
+papers x categories matrices and add in canonical order (ascending paper
+id, ascending category index), so results are deterministic.  Formula
+choices for quantities that admit more than one reading are versioned in
 FORMULA_VERSIONS and kept swappable behind this module.
 """
 
@@ -12,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import Corpus
-from .engine import Classification
+from .engine import Classification, row_fsums, weight_order
 from .scheme import CategoryScheme
 
 FORMULA_VERSIONS = {
@@ -24,21 +26,59 @@ FORMULA_VERSIONS = {
 }
 
 
+def _column_sums(m: sp.csr_matrix, k: int) -> np.ndarray:
+    """Per-category weight totals, each added up in row order."""
+    return np.bincount(m.indices, weights=m.data, minlength=k)
+
+
+def _common_rows(a: Classification, b: Classification):
+    """The rows of a and b that belong to their common papers, aligned.
+
+    Both matrices get the larger of the two column counts.
+    """
+    wa, wb = a.weights, b.weights
+    if a.paper_ids != b.paper_ids:
+        _, ia, ib = np.intersect1d(np.array(a.paper_ids, dtype=str),
+                                   np.array(b.paper_ids, dtype=str),
+                                   assume_unique=True, return_indices=True)
+        wa = wa if len(ia) == wa.shape[0] else wa[ia]
+        wb = wb if len(ib) == wb.shape[0] else wb[ib]
+    if not wa.shape[0]:
+        raise ValueError("no common papers")
+    k = max(wa.shape[1], wb.shape[1])
+    return _with_columns(wa, k), _with_columns(wb, k)
+
+
+def _with_columns(m: sp.csr_matrix, k: int) -> sp.csr_matrix:
+    if m.shape[1] == k:
+        return m
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.shape[0], k))
+
+
+def _category_areas(scheme: CategoryScheme, k: int) -> np.ndarray:
+    """Area code of each of the first k categories of the scheme."""
+    return np.array([scheme.area_of_index(idx) for idx in range(k)], dtype=np.int64)
+
+
+def _area_indicator(scheme: CategoryScheme, k: int) -> sp.csr_matrix:
+    """Categories x areas 0/1 matrix (areas in ascending code order)."""
+    cols = np.searchsorted(scheme.area_codes, _category_areas(scheme, k))
+    return sp.csr_matrix((np.ones(k), cols, np.arange(k + 1)),
+                         shape=(k, len(scheme.area_codes)))
+
+
 def category_sizes(c: Classification) -> dict[int, float]:
     """Accumulated weight per category; sums to the classified paper count."""
-    sizes: dict[int, float] = {}
-    for pid in sorted(c.vectors):
-        for idx, w in c.vectors[pid].items():
-            sizes[idx] = sizes.get(idx, 0.0) + w
-    return {idx: s for idx, s in sorted(sizes.items()) if s > 0}
+    sizes = _column_sums(c.weights, c.weights.shape[1])
+    return {int(idx): float(sizes[idx]) for idx in np.flatnonzero(sizes > 0)}
 
 
 def granularity(c: Classification) -> float:
     """Paper count divided by the sum of squared category sizes."""
-    if not c.vectors:
+    if not c.paper_ids:
         raise ValueError("empty classification")
     sizes = category_sizes(c)
-    return len(c.vectors) / math.fsum(s * s for s in sizes.values())
+    return len(c.paper_ids) / math.fsum(s * s for s in sizes.values())
 
 
 def size_cv(c: Classification) -> float:
@@ -57,24 +97,21 @@ def refs_per_paper_acv(c: Classification, corpus: Corpus, ref_filter=None) -> fl
     contribute to a category with their assignment weight there.
     Categories with zero total weight or zero mean count are skipped.
     """
-    counts = {}
-    for pid in c.vectors:
-        refs = corpus.papers[pid].references
-        if ref_filter is None:
-            counts[pid] = len(refs)
-        else:
-            counts[pid] = sum(1 for r in refs if ref_filter(r))
-    sw: dict[int, float] = {}
-    swn: dict[int, float] = {}
-    swn2: dict[int, float] = {}
-    for pid in sorted(c.vectors):
-        n = counts[pid]
-        for idx, w in c.vectors[pid].items():
-            sw[idx] = sw.get(idx, 0.0) + w
-            swn[idx] = swn.get(idx, 0.0) + w * n
-            swn2[idx] = swn2.get(idx, 0.0) + w * n * n
+    incidence, _, ref_counts = corpus.matrices()
+    if ref_filter is None:
+        counts = ref_counts
+    else:
+        kept = np.array([bool(ref_filter(r)) for r in corpus.ref_ids], dtype=float)
+        counts = incidence @ kept
+    rows = np.array([corpus.paper_row[pid] for pid in c.paper_ids], dtype=np.intp)
+    m = c.weights
+    n = np.repeat(counts[rows].astype(float), np.diff(m.indptr))
+    k = m.shape[1]
+    sw = np.bincount(m.indices, weights=m.data, minlength=k)
+    swn = np.bincount(m.indices, weights=m.data * n, minlength=k)
+    swn2 = np.bincount(m.indices, weights=m.data * n * n, minlength=k)
     cvs = []
-    for idx in sorted(sw):
+    for idx in range(k):
         if sw[idx] <= 0:
             continue
         mean = swn[idx] / sw[idx]
@@ -89,14 +126,9 @@ def refs_per_paper_acv(c: Classification, corpus: Corpus, ref_filter=None) -> fl
 
 def coincidence_percentage(a: Classification, b: Classification) -> float:
     """Mean over common papers of 100 x sum of per-category minima."""
-    common = sorted(set(a.vectors) & set(b.vectors))
-    if not common:
-        raise ValueError("no common papers")
-    total = math.fsum(
-        math.fsum(min(a.vectors[p].get(c, 0.0), b.vectors[p].get(c, 0.0))
-                  for c in set(a.vectors[p]) | set(b.vectors[p]))
-        for p in common)
-    return 100.0 * total / len(common)
+    wa, wb = _common_rows(a, b)
+    total = math.fsum(row_fsums(wa.minimum(wb).tocsr()).tolist())
+    return 100.0 * total / wa.shape[0]
 
 
 @dataclass(frozen=True)
@@ -111,36 +143,38 @@ class RankStats:
     papers: int
 
 
-def _winner(vec: dict[int, float]) -> int:
-    return min(vec.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+def _ranks(m: sp.csr_matrix):
+    """(winner column of each row, 1-based rank of every stored entry).
 
-
-def _rank_in(vec: dict[int, float], idx: int):
-    order = sorted(vec.items(), key=lambda kv: (-kv[1], kv[0]))
-    for pos, (c, _) in enumerate(order, start=1):
-        if c == idx:
-            return pos
-    return None
+    Ranks follow descending weight, ties by ascending column; the rank
+    array is in stored-entry order.
+    """
+    order = weight_order(m)
+    starts = m.indptr[:-1]
+    ranks = np.empty(m.nnz, dtype=np.int64)
+    ranks[order] = np.arange(m.nnz) - np.repeat(starts, np.diff(m.indptr)) + 1
+    return m.indices[order[starts]], ranks
 
 
 def rank_metrics(a: Classification, b: Classification) -> tuple[RankStats, RankStats]:
     """(winners of a located in b, winners of b located in a)."""
-    common = sorted(set(a.vectors) & set(b.vectors))
-    if not common:
-        raise ValueError("no common papers")
+    wa, wb = _common_rows(a, b)
+    n, k = wa.shape
+    rows = np.arange(n, dtype=np.int64)
 
-    def one_direction(src, dst):
-        ranks, missing = [], 0
-        for pid in common:
-            rank = _rank_in(dst.vectors[pid], _winner(src.vectors[pid]))
-            if rank is None:
-                missing += 1
-            else:
-                ranks.append(rank)
-        avg = float(np.mean(ranks)) if ranks else float("nan")
-        return RankStats(avg, missing, len(common))
+    def one_direction(winners, dst, ranks):
+        # dst's entries keyed by row * k + column are ascending (sorted indices)
+        keys = np.repeat(rows, np.diff(dst.indptr)) * k + dst.indices
+        wanted = rows * k + winners
+        pos = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
+        found = keys[pos] == wanted if len(keys) else np.zeros(n, dtype=bool)
+        hits = ranks[pos[found]]
+        avg = float(np.mean(hits)) if len(hits) else float("nan")
+        return RankStats(avg, int(n - found.sum()), n)
 
-    return one_direction(a, b), one_direction(b, a)
+    winners_a, ranks_a = _ranks(wa)
+    winners_b, ranks_b = _ranks(wb)
+    return one_direction(winners_a, wb, ranks_b), one_direction(winners_b, wa, ranks_a)
 
 
 @dataclass(frozen=True)
@@ -151,30 +185,24 @@ class AssignmentHistogram:
 
 
 def assignment_histogram(c: Classification) -> AssignmentHistogram:
-    if not c.vectors:
+    if not c.paper_ids:
         raise ValueError("empty classification")
-    sizes = [len(v) for v in c.vectors.values()]
+    sizes = np.diff(c.weights.indptr)
     n = len(sizes)
     pct = {}
     for band in (1, 2, 3, 4):
-        pct[str(band)] = 100.0 * sum(1 for s in sizes if s == band) / n
-    pct["5+"] = 100.0 * sum(1 for s in sizes if s >= 5) / n
-    return AssignmentHistogram(sum(sizes), sum(sizes) / n, pct)
+        pct[str(band)] = 100.0 * int((sizes == band).sum()) / n
+    pct["5+"] = 100.0 * int((sizes >= 5).sum()) / n
+    total = int(sizes.sum())
+    return AssignmentHistogram(total, total / n, pct)
 
 
 def category_correlation(a: Classification, b: Classification,
                          scheme: CategoryScheme, common_only: bool = False) -> float:
     """Pearson correlation of the per-category size vectors (zeros included)."""
-    if common_only:
-        common = set(a.vectors) & set(b.vectors)
-        a = Classification(a.variant_label, {p: a.vectors[p] for p in common}, frozenset())
-        b = Classification(b.variant_label, {p: b.vectors[p] for p in common}, frozenset())
-    xa = np.zeros(scheme.size)
-    xb = np.zeros(scheme.size)
-    for idx, s in category_sizes(a).items():
-        xa[idx] = s
-    for idx, s in category_sizes(b).items():
-        xb[idx] = s
+    wa, wb = _common_rows(a, b) if common_only else (a.weights, b.weights)
+    xa = _column_sums(wa, scheme.size)
+    xb = _column_sums(wb, scheme.size)
     return float(np.corrcoef(xa, xb)[0, 1])
 
 
@@ -188,14 +216,6 @@ def area_aggregate(c: Classification, scheme: CategoryScheme) -> dict[int, float
     return {area: 100.0 * s / total for area, s in out.items()}
 
 
-def _area_vector(vec: dict[int, float], scheme: CategoryScheme,
-                 area_index: dict[int, int]) -> np.ndarray:
-    out = np.zeros(len(area_index))
-    for idx, w in vec.items():
-        out[area_index[scheme.area_of_index(idx)]] += w
-    return out
-
-
 def area_flow(origin: Classification, result: Classification,
               scheme: CategoryScheme):
     """Mass-conserving area x area flow matrix (origin rows, result columns).
@@ -204,17 +224,11 @@ def area_flow(origin: Classification, result: Classification,
     result area weight b; row sums equal the origin area masses and the
     total equals the common paper count.
     """
-    common = sorted(set(origin.vectors) & set(result.vectors))
-    if not common:
-        raise ValueError("no common papers")
-    areas = list(scheme.area_codes)
-    area_index = {a: i for i, a in enumerate(areas)}
-    flow = np.zeros((len(areas), len(areas)))
-    for pid in common:
-        va = _area_vector(origin.vectors[pid], scheme, area_index)
-        vb = _area_vector(result.vectors[pid], scheme, area_index)
-        flow += np.outer(va, vb)
-    return areas, flow
+    wo, wr = _common_rows(origin, result)
+    indicator = _area_indicator(scheme, wo.shape[1])
+    # the sparse products add papers in ascending order for every cell
+    flow = (wo @ indicator).T.tocsr() @ (wr @ indicator)
+    return list(scheme.area_codes), flow.toarray()
 
 
 def same_area_retention(origin_misc_papers: dict[str, int], result: Classification,
@@ -224,14 +238,19 @@ def same_area_retention(origin_misc_papers: dict[str, int], result: Classificati
     ``origin_misc_papers`` maps paper ids (published in journals assigned
     exclusively to one miscellaneous category) to that category's area.
     """
-    mass: dict[int, float] = {}
-    count: dict[int, int] = {}
-    for pid in sorted(origin_misc_papers):
-        if pid not in result.vectors:
-            continue
-        area = origin_misc_papers[pid]
-        inside = math.fsum(w for idx, w in result.vectors[pid].items()
-                           if scheme.area_of_index(idx) == area)
-        mass[area] = mass.get(area, 0.0) + inside
-        count[area] = count.get(area, 0) + 1
-    return {area: 100.0 * mass[area] / count[area] for area in sorted(count)}
+    pids = sorted(origin_misc_papers)
+    _, im, ir = np.intersect1d(np.array(pids, dtype=str),
+                               np.array(result.paper_ids, dtype=str),
+                               assume_unique=True, return_indices=True)
+    areas, home = np.unique([origin_misc_papers[pids[i]] for i in im],
+                            return_inverse=True)
+    m = result.weights[ir]
+    in_home = (_category_areas(scheme, m.shape[1])[m.indices]
+               == areas[np.repeat(home, np.diff(m.indptr))])
+    indptr = np.concatenate(([0], np.cumsum(in_home)))[m.indptr]
+    inside = row_fsums(sp.csr_matrix((m.data[in_home], m.indices[in_home], indptr),
+                                     shape=m.shape))
+    mass = np.bincount(home, weights=inside, minlength=len(areas))
+    count = np.bincount(home, minlength=len(areas))
+    return {int(area): 100.0 * float(mass[i]) / int(count[i])
+            for i, area in enumerate(areas)}

@@ -11,13 +11,19 @@ import numpy as np
 
 from .corpus import Corpus
 from .engine import EngineConfig
-from .weights import to_dense
 
 ORACLE_MAX_PAPERS = 2000
 
 
 class OracleSizeError(ValueError):
     pass
+
+
+def to_dense(vec: dict[int, float], size: int) -> np.ndarray:
+    out = np.zeros(size)
+    for i, w in vec.items():
+        out[i] = w
+    return out
 
 
 def dense_run(corpus: Corpus, config: EngineConfig):

@@ -69,9 +69,10 @@ def write_report(out_dir, classifications: dict[str, Classification],
     for i, a_name in enumerate(names):
         for b_name in names[i + 1:]:
             a, b = classifications[a_name], classifications[b_name]
-            if not set(a.vectors) & set(b.vectors):
+            try:
+                ab, ba = metrics.rank_metrics(a, b)
+            except ValueError:  # no common papers
                 continue
-            ab, ba = metrics.rank_metrics(a, b)
             rows.append((
                 a_name, b_name,
                 metrics.coincidence_percentage(a, b),

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .weights import normalize
-
 
 class SchemeError(ValueError):
     """Raised for malformed scheme tables or journal assignments."""
@@ -126,7 +124,8 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
     ``kind`` is one of regular / misc / multidisciplinary.  ``source`` may be
     a path or an open text file.
     """
-    rows = list(iter_rows(source, ("code", "area_code", "kind"), delimiter))
+    rows = [row for _, row in
+            iter_rows(source, ("code", "area_code", "kind"), delimiter)]
     if not rows:
         raise SchemeError("empty scheme table")
     categories = []
@@ -201,10 +200,19 @@ def fractionalize_journal(
     return normalize(out)
 
 
-def iter_rows(source, required_columns, delimiter=None, error_cls=SchemeError):
-    """Stream the rows of a delimited table with a header row as dicts.
+def normalize(vec: dict[int, float]) -> dict[int, float]:
+    """Scale a vector to unit sum; the zero vector normalizes to {}."""
+    total = math.fsum(vec.values())
+    if total == 0.0:
+        return {}
+    return {i: w / total for i, w in sorted(vec.items()) if w != 0.0}
 
-    ``source`` is a path or an open text file.  Without ``delimiter`` the
+
+def iter_rows(source, required_columns, delimiter=None, error_cls=SchemeError):
+    """Stream the rows of a delimited table with a header row as (line, dict) pairs.
+
+    ``line`` is the 1-based line number the row ends on (the header is line
+    1).  ``source`` is a path or an open text file.  Without ``delimiter`` the
     header line decides (the first of , ; tab | it contains, else comma).
     Blank rows are skipped; problems raise ``error_cls``.
     """
@@ -230,5 +238,5 @@ def iter_rows(source, required_columns, delimiter=None, error_cls=SchemeError):
         if not raw or (len(raw) == 1 and not raw[0].strip()):
             continue
         if len(raw) < len(required_columns):
-            raise error_cls(f"malformed row: {raw}")
-        yield {h: v.strip() for h, v in zip(header, raw)}
+            raise error_cls(f"line {reader.line_num}: malformed row: {raw}")
+        yield reader.line_num, {h: v.strip() for h, v in zip(header, raw)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -13,6 +15,20 @@ settings.register_profile(
 settings.load_profile("refclass")
 from refclass.scheme import (Category, CategoryScheme, JournalAssignment,
                              fractionalize_journal)
+
+
+# (table body after the header, expected line, field named in the error)
+MALFORMED_TABLES = {
+    "repeated-row": ("p1,1102,0.5\np1,1102,0.5\n", 3, "category_code 1102"),
+    "unknown-code": ("p1,99999,1.0\n", 2, "category_code 99999"),
+    "weight-not-a-number": ("p1,1102,abc\n", 2, "weight 'abc'"),
+    "weight-nan": ("p1,1102,1.0\np2,1102,nan\n", 3, "weight 'nan'"),
+    "weight-negative": ("p1,1102,-1\n", 2, "weight '-1'"),
+}
+
+
+def vec_sum(vec: dict[int, float]) -> float:
+    return math.fsum(vec.values())
 
 
 def build_scheme(categories, multi=None, misc=None) -> CategoryScheme:

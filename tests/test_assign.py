@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from refclass.assign import DEFAULT_THRESHOLDS, PruneConfig, prune, prune_classification
 from refclass.engine import Classification
-from refclass.weights import vec_sum
+
+from conftest import vec_sum
 
 
 class TestPrune:
@@ -74,11 +75,11 @@ class TestProperties:
 
 class TestPruneClassification:
     def test_singletons_unchanged(self):
-        c = Classification("JL-NF", {"p1": {0: 1.0}, "p2": {3: 1.0}}, frozenset())
+        c = Classification.from_vectors("JL-NF", {"p1": {0: 1.0}, "p2": {3: 1.0}})
         out = prune_classification(c, PruneConfig(0.8))
         assert out.vectors == c.vectors
         assert out.variant_label == "JL-NF-0.8"
 
     def test_label_extension(self):
-        c = Classification("U1-F", {"p": {0: 1.0}}, frozenset())
+        c = Classification.from_vectors("U1-F", {"p": {0: 1.0}})
         assert prune_classification(c, PruneConfig(0.67)).variant_label == "U1-F-0.67"

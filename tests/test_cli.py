@@ -6,6 +6,8 @@ from refclass import cli
 from refclass.cli import main, parse_variant
 from refclass.synth import SynthParams, generate
 
+from conftest import MALFORMED_TABLES
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -130,11 +132,7 @@ class TestOracleCommand:
 
         def broken_run(corpus, config):
             jl, u1 = real_run(corpus, config)
-            pid = sorted(jl.vectors)[0]
-            vec = dict(jl.vectors[pid])
-            c = next(iter(vec))
-            vec[c] += 1e-6
-            jl.vectors[pid] = vec
+            jl.weights.data[0] += 1e-6  # the first paper's first category
             return jl, u1
 
         monkeypatch.setattr(cli_mod, "run", broken_run)
@@ -160,3 +158,16 @@ class TestMetricsCommand:
         assert (report / "flow_jl_to_u1.csv").exists()
         meta = json.loads((report / "metadata.json").read_text())
         assert meta["formulas"]["coincidence"] == "min-overlap-v1"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+    def test_malformed_classification_is_an_error(self, corpus_dir, tmp_path,
+                                                   capsys, case):
+        body, line, field = MALFORMED_TABLES[case]
+        path = tmp_path / "x.csv"
+        path.write_text("paper_id,category_code,weight\n" + body)
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"x={path}",
+                     "--out", str(tmp_path / "report")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line {line}: ")
+        assert field in err

@@ -5,9 +5,8 @@ import pytest
 from refclass.corpus import (Corpus, CorpusError, eligible_papers, load_corpus,
                              misc_exclusive_papers, unreclassified_fraction)
 from refclass.scheme import SchemeError, load_scheme
-from refclass.weights import vec_sum
 
-from conftest import build_corpus, build_scheme
+from conftest import build_corpus, build_scheme, vec_sum
 
 SCHEME_TEXT = (
     "code,area_code,kind\n"

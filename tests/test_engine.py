@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from refclass.corpus import CorpusError
 from refclass.engine import (Classification, EngineConfig, EngineError,
-                             _accumulate_matrix, _propagate_matrix, _rows_to_vectors,
+                             _accumulate_matrix, _propagate_matrix,
                              read_classification, run, write_classification)
 from refclass.oracle import dense_run, max_component_difference
-from refclass.weights import vec_sum
 
-from conftest import build_corpus, build_scheme
+from conftest import MALFORMED_TABLES, build_corpus, build_scheme, vec_sum
 
 
 def approx_vec(vec, expected, tol=1e-12):
@@ -44,7 +44,11 @@ def csr(rows):
 
 def row_vectors(m):
     """Nonzero entries of each row of a sparse matrix as {column: value} dicts."""
-    return list(_rows_to_vectors(m, range(m.shape[0])).values())
+    m = m.tocsr()
+    m.sort_indices()
+    return [{int(c): float(w)
+             for c, w in zip(m.indices[lo:hi], m.data[lo:hi]) if w != 0.0}
+            for lo, hi in zip(m.indptr, m.indptr[1:])]
 
 
 class TestAccumulate:
@@ -228,7 +232,7 @@ class TestRun:
 class TestClassificationIO:
     def test_round_trip(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = Classification(
+        c = Classification.from_vectors(
             "JL-NF", {"p1": {0: 0.75, 1: 0.25}, "p2": {1: 1.0}},
             frozenset({"p3"}), iterations_run=4,
             residual_trace=[1.0, 0.1], converged=True, stalled=0)
@@ -241,7 +245,7 @@ class TestClassificationIO:
 
     def test_sorted_by_descending_weight(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = Classification("U1-F", {"p1": {0: 0.25, 1: 0.75}}, frozenset())
+        c = Classification.from_vectors("U1-F", {"p1": {0: 0.25, 1: 0.75}})
         path = tmp_path / "U1-F.csv"
         write_classification(c, scheme, path)
         lines = path.read_text().splitlines()
@@ -251,7 +255,19 @@ class TestClassificationIO:
 
     def test_writes_are_byte_stable(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = Classification("JL-F", {"p1": {0: 1 / 3, 1: 2 / 3}}, frozenset())
+        c = Classification.from_vectors("JL-F", {"p1": {0: 1 / 3, 1: 2 / 3}})
         write_classification(c, scheme, tmp_path / "a.csv")
         write_classification(c, scheme, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_read_classification_rejects_malformed_row(tmp_path, case):
+    body, line, field = MALFORMED_TABLES[case]
+    path = tmp_path / "x.csv"
+    path.write_text("paper_id,category_code,weight\n" + body)
+    scheme = build_scheme([(1102, 1100), (1103, 1100)])
+    with pytest.raises(CorpusError) as err:
+        read_classification(path, scheme)
+    assert f"{path}, line {line}: " in str(err.value)
+    assert field in str(err.value)

@@ -19,7 +19,7 @@ SCHEME = build_scheme(
 
 
 def classification(vectors, label="X"):
-    return Classification(label, vectors, frozenset())
+    return Classification.from_vectors(label, vectors, n_categories=SCHEME.size)
 
 
 class TestSizes:

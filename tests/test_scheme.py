@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from refclass.scheme import (Category, CategoryScheme, JournalAssignment,
                              SchemeError, fractionalize_journal, load_scheme,
                              reference_scheme)
-from refclass.weights import vec_sum
 
-from conftest import build_scheme
+from conftest import build_scheme, vec_sum
 
 
 def make_table(text):
