@@ -59,7 +59,7 @@ def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
     keep = failed == np.repeat(failed[starts], counts)
 
     indptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
-    ranked = sp.csr_matrix((w[keep], m.indices[order][keep], indptr), shape=m.shape)
+    ranked = sp.csr_matrix((w[keep], m.indices[order[keep]], indptr), shape=m.shape)
     ranked.data /= np.repeat(row_fsums(ranked), np.diff(indptr))
     ranked.sort_indices()
     return ranked
