@@ -172,7 +172,8 @@ def weight_order(m: sp.csr_matrix) -> np.ndarray:
     """
     counts = np.diff(m.indptr)
     order = np.empty(m.nnz, dtype=np.intp)
-    for length in np.unique(counts[counts > 0]):
+    lengths = np.flatnonzero(np.bincount(counts))
+    for length in lengths[lengths > 0]:
         starts = m.indptr[:-1][counts == length][:, None]
         slots = starts + np.arange(length)
         order[slots] = starts + np.argsort(-m.data[slots], axis=1, kind="stable")

@@ -159,18 +159,13 @@ def _ranks(m: sp.csr_matrix):
 def rank_metrics(a: Classification, b: Classification) -> tuple[RankStats, RankStats]:
     """(winners of a located in b, winners of b located in a)."""
     wa, wb = _common_rows(a, b)
-    n, k = wa.shape
-    rows = np.arange(n, dtype=np.int64)
+    n = wa.shape[0]
 
     def one_direction(winners, dst, ranks):
-        # dst's entries keyed by row * k + column are ascending (sorted indices)
-        keys = np.repeat(rows, np.diff(dst.indptr)) * k + dst.indices
-        wanted = rows * k + winners
-        pos = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
-        found = keys[pos] == wanted if len(keys) else np.zeros(n, dtype=bool)
-        hits = ranks[pos[found]]
+        # a row holds each column once, so at most one entry per row is a hit
+        hits = ranks[dst.indices == np.repeat(winners, np.diff(dst.indptr))]
         avg = float(np.mean(hits)) if len(hits) else float("nan")
-        return RankStats(avg, int(n - found.sum()), n)
+        return RankStats(avg, n - len(hits), n)
 
     winners_a, ranks_a = _ranks(wa)
     winners_b, ranks_b = _ranks(wb)
