@@ -104,11 +104,11 @@ class Classification:
 
     @classmethod
     def from_vectors(cls, label: str, vectors: dict[str, dict[int, float]],
-                     unreclassified: frozenset[str] = frozenset(), *,
-                     n_categories: int | None = None, **meta) -> Classification:
+                     unreclassified: frozenset[str] = frozenset(),
+                     **meta) -> Classification:
         """Build from paper id -> {category index: weight} maps.
 
-        ``n_categories`` defaults to one past the largest index used.
+        The matrix is as wide as the largest index used requires.
         """
         pids = sorted(vectors)
         indptr, indices, data = [0], [], []
@@ -118,11 +118,9 @@ class Classification:
                     indices.append(idx)
                     data.append(w)
             indptr.append(len(indices))
-        if n_categories is None:
-            n_categories = max(indices, default=-1) + 1
         weights = sp.csr_matrix(
             (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
-            shape=(len(pids), n_categories))
+            shape=(len(pids), max(indices, default=-1) + 1))
         return cls(label, tuple(pids), weights, frozenset(unreclassified), **meta)
 
     @property

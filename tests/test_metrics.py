@@ -19,7 +19,7 @@ SCHEME = build_scheme(
 
 
 def classification(vectors, label="X"):
-    return Classification.from_vectors(label, vectors, n_categories=SCHEME.size)
+    return Classification.from_vectors(label, vectors)
 
 
 class TestSizes:

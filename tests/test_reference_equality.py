@@ -125,7 +125,7 @@ def paper_sets():
 
 
 def matrix(vecs):
-    return Classification.from_vectors("X", vecs, n_categories=K)
+    return Classification.from_vectors("X", vecs)
 
 
 # ---------------------------------------------------------------------------
