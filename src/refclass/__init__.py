@@ -10,14 +10,14 @@ comparison indicators.
 __version__ = "0.1.0"
 
 from .assign import PruneConfig, prune, prune_classification
-from .corpus import Corpus, CorpusError, Paper, eligible_papers, load_corpus
+from .corpus import Corpus, CorpusError, eligible_rows, load_corpus
 from .engine import Classification, EngineConfig, run
 from .scheme import (CategoryScheme, JournalAssignment, SchemeError,
                      fractionalize_journal, load_scheme, reference_scheme)
 
 __all__ = [
     "Classification", "CategoryScheme", "Corpus", "CorpusError", "EngineConfig",
-    "JournalAssignment", "Paper", "PruneConfig", "SchemeError", "eligible_papers",
+    "JournalAssignment", "PruneConfig", "SchemeError", "eligible_rows",
     "fractionalize_journal", "load_corpus", "load_scheme", "prune",
     "prune_classification", "reference_scheme", "run",
 ]

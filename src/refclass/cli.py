@@ -18,10 +18,9 @@ from pathlib import Path
 
 from . import __version__
 from .assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
-from .corpus import DEFAULT_MIN_REFS, load_corpus
+from .corpus import DEFAULT_MIN_REFS, CorpusError, eligible_rows, load_corpus
 from .engine import (ABSOLUTE_THRESHOLD, DEFAULT_PER_PAPER_THRESHOLD, Classification,
-                     EngineConfig, eligible_rows, read_classification, run,
-                     write_classification)
+                     EngineConfig, read_classification, run, write_classification)
 from .oracle import OracleSizeError, dense_run, max_component_difference
 from .report import write_report
 from .scheme import load_scheme
@@ -83,6 +82,26 @@ def _corpus_paths(args):
     return args.papers, args.journals, args.refs, args.scheme
 
 
+def _read_classifications(items, flag: str, scheme, corpus=None):
+    """NAME=PATH items -> {NAME: classification}.
+
+    With a corpus, every paper a table names must be in it.
+    """
+    out = {}
+    for item in items:
+        name, _, path = item.partition("=")
+        if not path:
+            raise CliError(f"{flag} expects NAME=PATH, got {item!r}")
+        c = read_classification(path, scheme, label=name)
+        if corpus is not None:
+            try:
+                corpus.rows_of(c.paper_ids)
+            except CorpusError as exc:
+                raise CliError(f"{path}: {exc}") from None
+        out[name] = c
+    return out
+
+
 def _initial_classification(corpus, min_refs: int) -> Classification:
     """The journal vectors of the papers with at least ``min_refs`` references."""
     rows, eligible, unreclassified = eligible_rows(corpus, min_refs)
@@ -102,6 +121,7 @@ def cmd_run(args) -> int:
     papers_path, journals_path, refs_path, scheme_path = _corpus_paths(args)
     scheme = load_scheme(scheme_path)
     corpus = load_corpus(papers_path, journals_path, refs_path, scheme)
+    comparisons = _read_classifications(args.compare or [], "--compare", scheme, corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -133,13 +153,6 @@ def cmd_run(args) -> int:
             c = prune_classification(c, PruneConfig(threshold))
         produced[c.variant_label] = c
         write_classification(c, scheme, out / f"{c.variant_label}.csv")
-
-    comparisons = {}
-    for spec_item in args.compare or []:
-        name, _, path = spec_item.partition("=")
-        if not path:
-            raise CliError(f"--compare expects NAME=PATH, got {spec_item!r}")
-        comparisons[name] = read_classification(path, scheme, label=name)
 
     report_inputs = dict(produced)
     report_inputs.update(comparisons)
@@ -190,19 +203,15 @@ def cmd_oracle(args) -> int:
 
 def cmd_metrics(args) -> int:
     scheme = load_scheme(args.scheme)
-    classifications = {}
-    for spec_item in args.classification:
-        name, _, path = spec_item.partition("=")
-        if not path:
-            raise CliError(f"--classification expects NAME=PATH, got {spec_item!r}")
-        classifications[name] = read_classification(path, scheme, label=name)
-    if not classifications:
-        raise CliError("no classifications given")
     corpus = None
     if args.corpus_dir:
         base = Path(args.corpus_dir)
         corpus = load_corpus(base / "papers.csv", base / "journals.csv",
                              base / "references.csv", scheme)
+    classifications = _read_classifications(
+        args.classification, "--classification", scheme, corpus)
+    if not classifications:
+        raise CliError("no classifications given")
     write_report(args.out, classifications, scheme, corpus=corpus,
                  origin=args.origin)
     print(f"report written to {args.out}")

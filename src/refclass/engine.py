@@ -24,8 +24,8 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, CorpusError, DEFAULT_MIN_REFS
-from .scheme import CategoryScheme, iter_rows
+from .corpus import Corpus, CorpusError, DEFAULT_MIN_REFS, eligible_rows
+from .scheme import CategoryScheme, read_table
 
 # 3000 / 3246022: the absolute stopping budget expressed per classified paper,
 # so that corpora of any size terminate at a comparable precision.
@@ -232,17 +232,6 @@ def _propagate_matrix(incidence, ref_w, prev=None, mask=None):
 # ---------------------------------------------------------------------------
 # full run
 
-def eligible_rows(corpus: Corpus, min_refs: int):
-    """Split the corpus at ``min_refs`` reference slots.
-
-    Returns the rows of the eligible papers, their ids, and the ids of the
-    other (unreclassified) papers.
-    """
-    ids = np.array(corpus.paper_ids, dtype=object)
-    eligible = corpus.matrices()[2] >= min_refs
-    return np.flatnonzero(eligible), tuple(ids[eligible]), frozenset(ids[~eligible])
-
-
 def run(corpus: Corpus, config: EngineConfig):
     """Execute the full loop and return the (JL, U1) classification pair."""
     incidence, w0, ref_counts = corpus.matrices()
@@ -378,27 +367,29 @@ def read_classification(path, scheme: CategoryScheme, label: str | None = None,
     breaks this raises CorpusError naming the file, line and field.
     """
     pids, indices, weights, lines = [], [], [], []
-    for line, row in iter_rows(path, ("paper_id", "category_code", "weight"),
-                               delimiter, CorpusError):
-        where = f"{path}, line {line}"
-        text = row["category_code"]
-        try:
-            code = int(text)
-        except ValueError:
-            raise CorpusError(f"{where}: category_code {text!r} is not an integer") from None
-        if not scheme.is_regular(code):
-            raise CorpusError(f"{where}: category_code {code} is not in the scheme")
-        text = row["weight"]
-        try:
-            weight = float(text)
-        except ValueError:
-            raise CorpusError(f"{where}: weight {text!r} is not a number") from None
-        if not (math.isfinite(weight) and weight > 0):
-            raise CorpusError(f"{where}: weight {text!r} is not positive and finite")
-        pids.append(row["paper_id"])
-        indices.append(scheme.index_of(code))
-        weights.append(weight)
-        lines.append(line)
+    for chunk in read_table(path, ("paper_id", "category_code", "weight"), (),
+                            delimiter, CorpusError):
+        cols = chunk.columns
+        for i, (code_text, weight_text) in enumerate(zip(cols["category_code"],
+                                                          cols["weight"])):
+            try:
+                code = int(code_text)
+            except ValueError:
+                raise chunk.error(
+                    i, f"category_code {code_text!r} is not an integer") from None
+            if not scheme.is_regular(code):
+                raise chunk.error(i, f"category_code {code} is not in the scheme")
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise chunk.error(i, f"weight {weight_text!r} is not a number") from None
+            if not (math.isfinite(weight) and weight > 0):
+                raise chunk.error(
+                    i, f"weight {weight_text!r} is not positive and finite")
+            indices.append(scheme.index_of(code))
+            weights.append(weight)
+        pids += cols["paper_id"]
+        lines += chunk.lines
 
     ids, rows = np.unique(np.array(pids, dtype=str), return_inverse=True)
     indices = np.array(indices, dtype=np.int32)

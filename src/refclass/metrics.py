@@ -103,7 +103,7 @@ def refs_per_paper_acv(c: Classification, corpus: Corpus, ref_filter=None) -> fl
     else:
         kept = np.array([bool(ref_filter(r)) for r in corpus.ref_ids], dtype=float)
         counts = incidence @ kept
-    rows = np.array([corpus.paper_row[pid] for pid in c.paper_ids], dtype=np.intp)
+    rows = corpus.rows_of(c.paper_ids)
     m = c.weights
     n = np.repeat(counts[rows].astype(float), np.diff(m.indptr))
     k = m.shape[1]

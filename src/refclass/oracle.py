@@ -19,38 +19,46 @@ class OracleSizeError(ValueError):
     pass
 
 
-def to_dense(vec: dict[int, float], size: int) -> np.ndarray:
-    out = np.zeros(size)
-    for i, w in vec.items():
-        out[i] = w
-    return out
-
-
 def dense_run(corpus: Corpus, config: EngineConfig):
     """Dense reference run; returns (jl_vectors, u1_vectors) as dict maps."""
     if len(corpus) > ORACLE_MAX_PAPERS:
         raise OracleSizeError(
             f"oracle limited to {ORACLE_MAX_PAPERS} papers, corpus has {len(corpus)}")
     k = corpus.scheme.size
-    pids = list(corpus.paper_ids)
-    w = np.array([to_dense(corpus.papers[p].initial_vector, k) for p in pids])
-    n_refs = {p: corpus.papers[p].ref_count for p in pids}
-    eligible = [p for p in pids if n_refs[p] >= config.min_refs]
-    citers = set(pids) if config.include_ineligible_citers else set(eligible)
-    row = {p: i for i, p in enumerate(pids)}
+    n = len(corpus.paper_ids)
+    incidence, initial, _ = corpus.matrices()
+    # each paper's cited reference columns, one entry per slot, its journal
+    # vector as a dense row, and each reference's citing papers per slot
+    refs = []
+    w = np.zeros((n, k))
+    citing = [[] for _ in corpus.ref_ids]
+    for p in range(n):
+        slots = []
+        lo, hi = incidence.indptr[p], incidence.indptr[p + 1]
+        for rid, count in zip(incidence.indices[lo:hi], incidence.data[lo:hi]):
+            slots += [int(rid)] * int(count)
+        refs.append(slots)
+        for rid in slots:
+            citing[rid].append(p)
+        lo, hi = initial.indptr[p], initial.indptr[p + 1]
+        for c, weight in zip(initial.indices[lo:hi], initial.data[lo:hi]):
+            w[p, c] = weight
+    n_refs = [len(slots) for slots in refs]
+    eligible = [p for p in range(n) if n_refs[p] >= config.min_refs]
+    citers = set(range(n)) if config.include_ineligible_citers else set(eligible)
     threshold = config.effective_threshold(len(eligible))
 
     def reference_vectors(weights):
         omega = {}
-        for rid in corpus.ref_ids:
+        for rid, papers in enumerate(citing):
             acc = np.zeros(k)
-            for p in corpus.ref_index[rid]:
+            for p in papers:
                 if p not in citers:
                     continue
                 if config.fractional:
-                    acc += weights[row[p]] / n_refs[p]
+                    acc += weights[p] / n_refs[p]
                 else:
-                    acc += weights[row[p]]
+                    acc += weights[p]
             s = acc.sum()
             if s > 0:
                 omega[rid] = acc / s
@@ -60,14 +68,14 @@ def dense_run(corpus: Corpus, config: EngineConfig):
         new = weights.copy()
         for p in eligible:
             acc = np.zeros(k)
-            for rid in corpus.papers[p].references:
+            for rid in refs[p]:
                 if rid in omega:
                     acc += omega[rid]
             if masked:
-                acc = np.where(weights[row[p]] > 0, acc, 0.0)
+                acc = np.where(weights[p] > 0, acc, 0.0)
             s = acc.sum()
             if s > 0:
-                new[row[p]] = acc / s
+                new[p] = acc / s
         return new
 
     for _ in range(config.max_iterations):
@@ -85,7 +93,8 @@ def dense_run(corpus: Corpus, config: EngineConfig):
     u1 = w
 
     def as_maps(mat):
-        return {p: {int(c): float(mat[row[p]][c]) for c in np.flatnonzero(mat[row[p]])}
+        return {corpus.paper_ids[p]: {int(c): float(mat[p][c])
+                                      for c in np.flatnonzero(mat[p])}
                 for p in eligible}
 
     return as_maps(jl), as_maps(u1)

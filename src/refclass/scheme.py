@@ -19,7 +19,14 @@ import io
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
+
+
+# rows per chunk of read_table: enough to make per-chunk work negligible, few
+# enough that a chunk's strings stay a few MiB whatever the table's size
+CHUNK_ROWS = 8192
 
 
 class SchemeError(ValueError):
@@ -124,36 +131,38 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
     ``kind`` is one of regular / misc / multidisciplinary.  ``source`` may be
     a path or an open text file.
     """
-    rows = [row for _, row in
-            iter_rows(source, ("code", "area_code", "kind"), delimiter)]
-    if not rows:
-        raise SchemeError("empty scheme table")
     categories = []
     misc_codes: dict[int, int] = {}
     multi_code = None
     seen: set[int] = set()
-    for row in rows:
-        try:
-            code = int(row["code"])
-            area = int(row["area_code"])
-        except ValueError as exc:
-            raise SchemeError(f"malformed scheme row: {row}") from exc
-        kind = row["kind"].strip().lower()
-        if code in seen:
-            raise SchemeError(f"duplicate code {code} in scheme table")
-        seen.add(code)
-        if kind == "regular":
-            categories.append(Category(code, area))
-        elif kind == "misc":
-            if area in misc_codes:
-                raise SchemeError(f"area {area} has two miscellaneous codes")
-            misc_codes[area] = code
-        elif kind == "multidisciplinary":
-            if multi_code is not None:
-                raise SchemeError("multiple multidisciplinary rows")
-            multi_code = code
-        else:
-            raise SchemeError(f"unknown kind {kind!r} for code {code}")
+    for chunk in read_table(source, ("code", "area_code", "kind"), (), delimiter):
+        cols = chunk.columns
+        for i, (code_text, area_text, kind) in enumerate(
+                zip(cols["code"], cols["area_code"], cols["kind"])):
+            try:
+                code = int(code_text)
+                area = int(area_text)
+            except ValueError:
+                raise chunk.error(i, f"malformed scheme row: code {code_text!r}, "
+                                     f"area_code {area_text!r}") from None
+            kind = kind.lower()
+            if code in seen:
+                raise chunk.error(i, f"duplicate code {code} in scheme table")
+            seen.add(code)
+            if kind == "regular":
+                categories.append(Category(code, area))
+            elif kind == "misc":
+                if area in misc_codes:
+                    raise chunk.error(i, f"area {area} has two miscellaneous codes")
+                misc_codes[area] = code
+            elif kind == "multidisciplinary":
+                if multi_code is not None:
+                    raise chunk.error(i, "multiple multidisciplinary rows")
+                multi_code = code
+            else:
+                raise chunk.error(i, f"unknown kind {kind!r} for code {code}")
+    if not seen:
+        raise SchemeError("empty scheme table")
     return CategoryScheme(categories, multi_code, misc_codes)
 
 
@@ -208,18 +217,40 @@ def normalize(vec: dict[int, float]) -> dict[int, float]:
     return {i: w / total for i, w in sorted(vec.items()) if w != 0.0}
 
 
-def iter_rows(source, required_columns, delimiter=None, error_cls=SchemeError):
-    """Stream the rows of a delimited table with a header row as (line, dict) pairs.
+class TableChunk:
+    """Consecutive rows of a delimited table, held as columns of stripped strings."""
 
-    ``line`` is the 1-based line number the row ends on (the header is line
-    1).  ``source`` is a path or an open text file.  Without ``delimiter`` the
-    header line decides (the first of , ; tab | it contains, else comma).
-    Blank rows are skipped; problems raise ``error_cls``.
+    def __init__(self, name: str, lines, columns: dict[str, list[str]], error_cls):
+        self.name = name
+        self.lines = lines  # line number of each row; the header is line 1
+        self.columns = columns
+        self._error_cls = error_cls
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def error(self, row: int, message: str) -> Exception:
+        """The table's error type with ``message``, naming the file and the row's line."""
+        return self._error_cls(f"{self.name}, line {self.lines[row]}: {message}")
+
+
+def read_table(source, required, optional=(), delimiter=None, error_cls=SchemeError):
+    """Stream a delimited table with a header row as TableChunks of CHUNK_ROWS rows.
+
+    ``source`` is a path or an open text file.  Without ``delimiter`` the
+    header line decides (the first of , ; tab | it contains, else comma).  A
+    leading UTF-8 byte order mark is dropped, blank rows are skipped and
+    values are stripped.  Each chunk holds the ``required`` columns and the
+    ``optional`` ones, which read as "" where the header or a row lacks them.
+    A missing column, a row too short to reach a required column, a field
+    that spans lines and a csv syntax error raise ``error_cls`` naming the
+    file and line.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
-            yield from iter_rows(fh, required_columns, delimiter, error_cls)
+            yield from read_table(fh, required, optional, delimiter, error_cls)
         return
+    name = getattr(source, "name", "<table>")
     if delimiter is None:
         pos = source.tell() if hasattr(source, "tell") else None
         sample = source.readline()
@@ -227,16 +258,47 @@ def iter_rows(source, required_columns, delimiter=None, error_cls=SchemeError):
             source.seek(pos)
         delimiter = next((c for c in (",", ";", "\t", "|") if c in sample), ",")
     reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise error_cls("empty table") from None
-    missing = [c for c in required_columns if c not in header]
+
+    def rows(count):
+        try:
+            return list(islice(reader, count))
+        except csv.Error as exc:
+            raise error_cls(f"{name}, line {reader.line_num}: {exc}") from None
+
+    header = [h.strip() for h in next(iter(rows(1)), [])]
+    if not header:
+        raise error_cls(f"{name}: empty table")
+    header[0] = header[0].removeprefix("\ufeff").strip()
+    missing = [c for c in required if c not in header]
     if missing:
-        raise error_cls(f"missing columns {missing} (header: {header})")
-    for raw in reader:
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue
-        if len(raw) < len(required_columns):
-            raise error_cls(f"line {reader.line_num}: malformed row: {raw}")
-        yield reader.line_num, {h: v.strip() for h, v in zip(header, raw)}
+        raise error_cls(f"{name}: missing columns {missing} (header: {header})")
+    need = max(header.index(c) for c in required)
+    wanted = [(c, header.index(c)) for c in (*required, *optional) if c in header]
+    width = max(pos for _, pos in wanted) + 1
+    while True:
+        start = reader.line_num
+        raw = rows(CHUNK_ROWS)
+        if not raw:
+            return
+        if reader.line_num - start != len(raw):
+            row = next((i for i, r in enumerate(raw) if any("\n" in v or "\r" in v for v in r)), 0)
+            raise error_cls(f"{name}, line {start + 1 + row}: a field spans lines")
+        lines = range(start + 1, start + 1 + len(raw))
+        if min(map(len, raw)) < max(width, 2):
+            # rare: blank rows to drop, short rows to reject or pad
+            full, kept = [], []
+            for r, line in zip(raw, lines):
+                if not r or (len(r) == 1 and not r[0].strip()):
+                    continue
+                if len(r) <= need:
+                    raise error_cls(f"{name}, line {line}: {len(r)} fields, too few "
+                                    f"to reach column {header[need]!r}")
+                full.append(r + [""] * (width - len(r)))
+                kept.append(line)
+            raw, lines = full, kept
+            if not raw:
+                continue
+        columns = {c: list(map(str.strip, map(itemgetter(pos), raw))) for c, pos in wanted}
+        for c in optional:
+            columns.setdefault(c, [""] * len(raw))
+        yield TableChunk(name, lines, columns, error_cls)

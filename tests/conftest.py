@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from refclass.corpus import Corpus, Paper
+from refclass.corpus import Corpus, load_corpus
 
 settings.register_profile(
     "refclass", deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("refclass")
-from refclass.scheme import (Category, CategoryScheme, JournalAssignment,
-                             fractionalize_journal)
+from refclass.scheme import Category, CategoryScheme
 
 
 # (table body after the header, expected line, field named in the error)
@@ -24,6 +25,7 @@ MALFORMED_TABLES = {
     "weight-not-a-number": ("p1,1102,abc\n", 2, "weight 'abc'"),
     "weight-nan": ("p1,1102,1.0\np2,1102,nan\n", 3, "weight 'nan'"),
     "weight-negative": ("p1,1102,-1\n", 2, "weight '-1'"),
+    "short-row": ("p1,1102,0.5\np2,1102\n", 3, "column 'weight'"),
 }
 
 
@@ -37,13 +39,27 @@ def build_scheme(categories, multi=None, misc=None) -> CategoryScheme:
 
 
 def build_corpus(scheme, journals, papers) -> Corpus:
-    """journals: {jid: [(code, degree), ...]}; papers: {pid: (jid, [ref ids])}."""
-    jas = {jid: JournalAssignment(jid, tuple(assigns))
-           for jid, assigns in journals.items()}
-    vectors = {jid: fractionalize_journal(ja, scheme) for jid, ja in jas.items()}
-    built = {pid: Paper(pid, jid, vectors[jid], tuple(refs))
-             for pid, (jid, refs) in papers.items()}
-    return Corpus(built, jas, scheme)
+    """journals: {jid: [(code, degree), ...]}; papers: {pid: (jid, [ref ids])}.
+
+    Writes the three tables in memory and loads them with load_corpus.
+    """
+    def table(header, rows):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text.seek(0)
+        return text
+
+    return load_corpus(
+        table(("paper_id", "journal_id"),
+              [(pid, jid) for pid, (jid, _) in papers.items()]),
+        table(("journal_id", "code", "degree"),
+              [(jid, code, degree) for jid, assigns in journals.items()
+               for code, degree in assigns]),
+        table(("paper_id", "reference_id"),
+              [(pid, rid) for pid, (_, refs) in papers.items() for rid in refs]),
+        scheme)
 
 
 @pytest.fixture

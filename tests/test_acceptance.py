@@ -27,7 +27,7 @@ from refclass.metrics import (area_aggregate, area_flow, assignment_histogram,
                               rank_metrics, refs_per_paper_acv,
                               same_area_retention, size_cv)
 from refclass.oracle import dense_run, max_component_difference
-from refclass.scheme import load_scheme
+from refclass.scheme import JournalAssignment, fractionalize_journal, load_scheme
 from refclass.synth import SynthParams, generate
 
 from conftest import build_corpus, build_scheme
@@ -105,7 +105,8 @@ INV_JOURNALS = {
 
 
 @st.composite
-def small_corpora(draw):
+def small_papers(draw):
+    """{paper id: (journal id, [reference ids])} over INV_JOURNALS."""
     n = draw(st.integers(1, 5))
     papers = {}
     for i in range(n):
@@ -113,7 +114,11 @@ def small_corpora(draw):
         n_refs = draw(st.integers(3, 6))
         refs = [f"r{draw(st.integers(0, 7))}" for _ in range(n_refs)]
         papers[f"p{i}"] = (jid, refs)
-    return build_corpus(INV_SCHEME, INV_JOURNALS, papers)
+    return papers
+
+
+def small_corpora():
+    return small_papers().map(lambda papers: build_corpus(INV_SCHEME, INV_JOURNALS, papers))
 
 
 weight_vectors = st.dictionaries(
@@ -146,12 +151,16 @@ def test_invariant_vectors_stay_normalized():
 
 
 def test_invariant_limited_support_stays_within_journal_support():
+    support = {jid: set(fractionalize_journal(JournalAssignment(jid, tuple(a)), INV_SCHEME))
+               for jid, a in INV_JOURNALS.items()}
+
     @settings(max_examples=1000, deadline=None)
-    @given(corpus=small_corpora(), fractional=st.booleans())
-    def prop(corpus, fractional):
+    @given(papers=small_papers(), fractional=st.booleans())
+    def prop(papers, fractional):
+        corpus = build_corpus(INV_SCHEME, INV_JOURNALS, papers)
         jl, _ = run(corpus, EngineConfig(fractional=fractional))
         for pid, vec in jl.vectors.items():
-            assert set(vec) <= set(corpus.papers[pid].initial_vector)
+            assert set(vec) <= support[papers[pid][0]]
 
     _run_property("invariant-limited-support", prop)
 
@@ -183,12 +192,12 @@ def test_invariant_prune_is_idempotent():
 
 def test_invariant_fractional_weighting_ignores_duplicated_slots():
     @settings(max_examples=1000, deadline=None)
-    @given(corpus=small_corpora())
-    def prop(corpus):
+    @given(papers=small_papers())
+    def prop(papers):
+        corpus = build_corpus(INV_SCHEME, INV_JOURNALS, papers)
         doubled = build_corpus(
             INV_SCHEME, INV_JOURNALS,
-            {pid: (p.journal_id, list(p.references) * 2)
-             for pid, p in corpus.papers.items()})
+            {pid: (jid, refs * 2) for pid, (jid, refs) in papers.items()})
         config = EngineConfig(fractional=True)
         jl_a, u1_a = run(corpus, config)
         jl_b, u1_b = run(doubled, config)
@@ -200,16 +209,17 @@ def test_invariant_fractional_weighting_ignores_duplicated_slots():
 
 def test_invariant_incidence_transpose_identity():
     @settings(max_examples=1000, deadline=None)
-    @given(corpus=small_corpora())
-    def prop(corpus):
+    @given(papers=small_papers())
+    def prop(papers):
+        corpus = build_corpus(INV_SCHEME, INV_JOURNALS, papers)
         incidence = corpus.matrices()[0]
         dense = incidence.toarray()
         assert np.array_equal(incidence.T.toarray().T, dense)
-        col_sums = dense.sum(axis=0)
-        for rid, citers in corpus.ref_index.items():
-            assert col_sums[corpus.ref_col[rid]] == len(citers)
+        citations = Counter(rid for _, refs in papers.values() for rid in refs)
+        assert corpus.ref_ids == tuple(sorted(citations))
+        assert dense.sum(axis=0).tolist() == [citations[r] for r in corpus.ref_ids]
         assert dense.sum(axis=1).tolist() == [
-            corpus.papers[p].ref_count for p in corpus.paper_ids]
+            len(papers[p][1]) for p in corpus.paper_ids]
 
     _run_property("invariant-transpose-identity", prop)
 
@@ -300,7 +310,8 @@ def test_metrics_match_independent_brute_force(tmp_path):
     params = SynthParams(n_papers=300, n_categories=6, seed=21,
                          journal_noise=0.15, misc_fraction=0.2,
                          multidisciplinary_fraction=0.1, ref_noise=0.1)
-    scheme, corpus = _load(generate(params).write(tmp_path))
+    synth = generate(params)
+    scheme, corpus = _load(synth.write(tmp_path))
     config = EngineConfig(fractional=True)
     jl, u1 = run(corpus, config)
     a = prune_classification(jl, PruneConfig(0.8))
@@ -320,7 +331,8 @@ def test_metrics_match_independent_brute_force(tmp_path):
     nz = sa[sa > 0]
     errors["size-cv"] = abs(size_cv(a) - float(nz.std() / nz.mean()))
 
-    counts = np.array([corpus.papers[p].ref_count for p in pids], dtype=float)
+    slots = Counter(pid for pid, _ in synth.ref_rows)
+    counts = np.array([slots[p] for p in pids], dtype=float)
     cvs = []
     for c in range(k):
         w = A[:, c]
@@ -436,21 +448,23 @@ def test_short_reference_papers_reported_unreclassified(tmp_path):
 
 
 def test_iteration_cost_scales_linearly(tmp_path):
+    # all corpora are loaded first and the sizes timed round-robin, so that
+    # every size samples the same minutes of machine speed
     sizes = (10_000, 20_000, 40_000, 80_000)
-    per_paper = {}
-    config_args = dict(fractional=True, max_iterations=1,
-                       per_paper_threshold=1e-30)
+    config = EngineConfig(fractional=True, max_iterations=1, per_paper_threshold=1e-30)
+    corpora = {}
     for n in sizes:
         params = SynthParams(n_papers=n, n_categories=16, seed=29,
                              journal_noise=0.1, misc_fraction=0.1)
-        _, corpus = _load(generate(params).write(tmp_path / str(n)))
-        run(corpus, EngineConfig(**config_args))  # warm-up; caches matrices
-        best = math.inf
-        for _ in range(3):
+        _, corpora[n] = _load(generate(params).write(tmp_path / str(n)))
+        run(corpora[n], config)  # warm-up
+    best = dict.fromkeys(sizes, math.inf)
+    for _ in range(3):
+        for n in sizes:
             t0 = time.perf_counter()
-            run(corpus, EngineConfig(**config_args))
-            best = min(best, time.perf_counter() - t0)
-        per_paper[n] = best / n
+            run(corpora[n], config)
+            best[n] = min(best[n], time.perf_counter() - t0)
+    per_paper = {n: best[n] / n for n in sizes}
     ratios = [per_paper[b] / per_paper[a] for a, b in zip(sizes, sizes[1:])]
     ok = all(r <= 1.3 for r in ratios)
     _report("linear-scaling", ok,

@@ -93,6 +93,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "max_iteration" in capsys.readouterr().err
 
+    def test_compare_table_with_unknown_paper_is_an_error(self, corpus_dir, tmp_path,
+                                                          capsys):
+        table = tmp_path / "x.csv"
+        table.write_text("paper_id,category_code,weight\nnot-a-paper,1102,1.0\n")
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "o"),
+                     "--variants", "JL-F-0.8", "--compare", f"x={table}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: paper_id not-a-paper is not in the corpus\n")
+
     def test_does_not_mutate_inputs(self, corpus_dir, tmp_path):
         before = read_outputs(corpus_dir)
         main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "o"),
@@ -158,6 +167,15 @@ class TestMetricsCommand:
         assert (report / "flow_jl_to_u1.csv").exists()
         meta = json.loads((report / "metadata.json").read_text())
         assert meta["formulas"]["coincidence"] == "min-overlap-v1"
+
+    def test_table_with_unknown_paper_is_an_error(self, corpus_dir, tmp_path, capsys):
+        table = tmp_path / "x.csv"
+        table.write_text("paper_id,category_code,weight\nnot-a-paper,1102,1.0\n")
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"x={table}", "--corpus-dir", str(corpus_dir),
+                     "--out", str(tmp_path / "report")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}: paper_id not-a-paper is not in the corpus\n")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
     def test_malformed_classification_is_an_error(self, corpus_dir, tmp_path,
