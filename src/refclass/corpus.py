@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -56,14 +57,17 @@ class Corpus:
         """(incidence, initial_weights, ref_counts) in canonical row/col order."""
         return self.incidence, self.initial, self.ref_counts
 
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return dict(zip(self.paper_ids, range(len(self.paper_ids))))
+
     def rows_of(self, paper_ids) -> np.ndarray:
         """The rows of ``paper_ids``; CorpusError names the first one not in the corpus."""
-        ids = np.array(self.paper_ids, dtype=object)
-        wanted = np.array(paper_ids, dtype=object)
-        rows = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
-        missing = np.flatnonzero(ids[rows] != wanted)
+        rows = np.fromiter(map(self._row_of.get, paper_ids, repeat(-1)), np.intp,
+                           len(paper_ids))
+        missing = np.flatnonzero(rows < 0)
         if len(missing):
-            raise CorpusError(f"paper_id {wanted[missing[0]]} is not in the corpus")
+            raise CorpusError(f"paper_id {paper_ids[missing[0]]} is not in the corpus")
         return rows
 
 

@@ -226,9 +226,6 @@ class TableChunk:
         self.columns = columns
         self._error_cls = error_cls
 
-    def __len__(self) -> int:
-        return len(self.lines)
-
     def error(self, row: int, message: str) -> Exception:
         """The table's error type with ``message``, naming the file and the row's line."""
         return self._error_cls(f"{self.name}, line {self.lines[row]}: {message}")
@@ -265,9 +262,10 @@ def read_table(source, required, optional=(), delimiter=None, error_cls=SchemeEr
         except csv.Error as exc:
             raise error_cls(f"{name}, line {reader.line_num}: {exc}") from None
 
-    header = [h.strip() for h in next(iter(rows(1)), [])]
-    if not header:
+    first = rows(1)
+    if not first or not first[0]:
         raise error_cls(f"{name}: empty table")
+    header = [h.strip() for h in first[0]]
     header[0] = header[0].removeprefix("\ufeff").strip()
     missing = [c for c in required if c not in header]
     if missing:
@@ -280,8 +278,10 @@ def read_table(source, required, optional=(), delimiter=None, error_cls=SchemeEr
         raw = rows(CHUNK_ROWS)
         if not raw:
             return
+        # one row per line, so that a row's line follows from its position
         if reader.line_num - start != len(raw):
-            row = next((i for i, r in enumerate(raw) if any("\n" in v or "\r" in v for v in r)), 0)
+            row = next((i for i, r in enumerate(raw)
+                        if any("\n" in v or "\r" in v for v in r)), 0)
             raise error_cls(f"{name}, line {start + 1 + row}: a field spans lines")
         lines = range(start + 1, start + 1 + len(raw))
         if min(map(len, raw)) < max(width, 2):
