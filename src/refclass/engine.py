@@ -34,6 +34,9 @@ ABSOLUTE_THRESHOLD = 3000.0
 
 # rows formatted per write call, which bounds the memory write_classification needs
 _WRITE_CHUNK_ROWS = 65536
+# output entries per dense block of _matmul: small enough for a block to stay in
+# cache, which keeps the per-iteration cost linear in the paper count
+_PRODUCT_BLOCK_ENTRIES = 1 << 16
 
 
 class EngineError(ValueError):
@@ -181,19 +184,44 @@ def weight_order(m: sp.csr_matrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matrix kernels
 
-def _matmul(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    out = (a @ b).tocsr()
-    out.sort_indices()
-    return out
+def _matmul(a: sp.csr_matrix, b: sp.csr_matrix,
+            mask: sp.csr_matrix | None = None) -> sp.csr_matrix:
+    """Canonical CSR of ``a @ b``, restricted to the nonzero entries of ``mask``.
+
+    ``b`` is made dense once; ``a`` is multiplied by it in row blocks of at
+    most ``_PRODUCT_BLOCK_ENTRIES`` output entries, and each block's nonzeros
+    are read off in row-major order, so the result needs no sort.  Every entry
+    adds its terms in ascending column order of ``a``, starting from zero,
+    like scipy's sparse product, so the values are the same bit for bit.
+    """
+    dense_b = b.toarray()
+    n, k = a.shape[0], dense_b.shape[1]
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // k)
+    columns = np.broadcast_to(np.arange(k, dtype=np.int32), (step, k))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices, data = [np.empty(0, dtype=np.int32)], [np.empty(0)]
+    for lo in range(0, n, step):
+        block = a[lo:lo + step] @ dense_b
+        keep = block != 0
+        if mask is not None:
+            keep &= mask[lo:lo + step].toarray() != 0
+        indptr[lo + 1:lo + 1 + len(block)] = np.count_nonzero(keep, axis=1)
+        indices.append(columns[:len(block)][keep])
+        data.append(block[keep])
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                         shape=(n, k))
 
 
 def _row_normalize(m: sp.csr_matrix):
-    """Scale rows to unit sum; all-zero rows stay zero.  Returns (matrix, zero_rows)."""
-    m = m.tocsr(copy=True)
+    """Scale rows of ``m`` in place to unit sum; all-zero rows stay zero.
+
+    Returns (m, zero_rows).
+    """
     sums = np.asarray(m.sum(axis=1)).ravel()
     zero = sums == 0
     scale = np.where(zero, 1.0, sums)
-    m.data = m.data / np.repeat(scale, np.diff(m.indptr))
+    m.data /= np.repeat(scale, np.diff(m.indptr))
     m.eliminate_zeros()
     return m, zero
 
@@ -208,9 +236,9 @@ def _support(m: sp.csr_matrix) -> sp.csr_matrix:
 def _accumulate_matrix(incidence_t, w, inv_refs=None):
     """References x categories matrix: normalized sums of citing-paper rows."""
     if inv_refs is not None:
-        w = sp.diags(inv_refs) @ w
-    acc = _matmul(incidence_t, w)
-    acc, _ = _row_normalize(acc)
+        w = sp.csr_matrix((w.data * np.repeat(inv_refs, np.diff(w.indptr)),
+                           w.indices, w.indptr), shape=w.shape)
+    acc, _ = _row_normalize(_matmul(incidence_t, w))
     return acc
 
 
@@ -220,10 +248,7 @@ def _propagate_matrix(incidence, ref_w, prev=None, mask=None):
     Rows whose (masked) sum vanishes fall back to the matching row of
     ``prev`` and are reported as stalled.
     """
-    out = _matmul(incidence, ref_w)
-    if mask is not None:
-        out = out.multiply(mask).tocsr()
-    out, zero = _row_normalize(out)
+    out, zero = _row_normalize(_matmul(incidence, ref_w, mask))
     if prev is not None and zero.any():
         out = (out + sp.diags(zero.astype(float)) @ prev).tocsr()
     return out, zero

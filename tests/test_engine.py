@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from refclass import engine
 from refclass.corpus import CorpusError
 from refclass.engine import (Classification, EngineConfig, EngineError,
-                             _accumulate_matrix, _propagate_matrix,
+                             _accumulate_matrix, _matmul, _propagate_matrix,
                              read_classification, run, write_classification)
 from refclass.oracle import dense_run, max_component_difference
 
@@ -49,6 +54,45 @@ def row_vectors(m):
     return [{int(c): float(w)
              for c, w in zip(m.indices[lo:hi], m.data[lo:hi]) if w != 0.0}
             for lo, hi in zip(m.indptr, m.indptr[1:])]
+
+
+def sparse_product(a, b, mask=None):
+    """The scipy composition _matmul replaces: SpGEMM, sort, mask, drop zeros."""
+    out = (a @ b).tocsr()
+    out.sort_indices()
+    if mask is not None:
+        out = out.multiply(mask).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, mask): incidence counts 0-3, weight rows that may be all zero."""
+    n, m, k = draw(st.integers(0, 9)), draw(st.integers(1, 7)), draw(st.integers(1, 6))
+
+    def matrix(rows, cols, values):
+        cells = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+        return sp.csr_matrix(np.array(cells, dtype=float).reshape(rows, cols))
+
+    a = matrix(n, m, st.sampled_from([0, 0, 1, 1, 2, 3]))
+    b = matrix(m, k, st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    mask = matrix(n, k, st.sampled_from([0, 1])) if draw(st.booleans()) else None
+    return a, b, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_matmul_equals_sparse_product_bit_for_bit(operands):
+    a, b, mask = operands
+    expected = sparse_product(a, b, mask)
+    k = b.shape[1]
+    for budget in (1, 2, k, engine._PRODUCT_BLOCK_ENTRIES):
+        with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
+            out = _matmul(a, b, mask)
+        assert out.shape == expected.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(out, part), getattr(expected, part)), part
 
 
 class TestAccumulate:
