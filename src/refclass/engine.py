@@ -347,10 +347,14 @@ def write_classification(c: Classification, scheme: CategoryScheme, path,
 
     Rows are sorted by (paper_id, descending weight, ascending code) and
     floats use shortest round-trip formatting, so output is reproducible
-    byte for byte.
+    byte for byte.  A paper id holding the delimiter or a double quote is
+    quoted csv-style; other ids are written as they are.
     """
     path = Path(path)
     w, pids = c.weights, c.paper_ids
+    joined = "".join(pids)
+    if delimiter in joined or '"' in joined:
+        pids = [_csv_field(pid, delimiter) for pid in pids]
     order = weight_order(w)
     codes = np.array([cat.code for cat in scheme.categories])[w.indices[order]]
     data = w.data[order]
@@ -376,6 +380,12 @@ def write_classification(c: Classification, scheme: CategoryScheme, path,
     }
     sidecar_path(path).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _csv_field(text: str, delimiter: str) -> str:
+    if delimiter in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def sidecar_path(path) -> Path:

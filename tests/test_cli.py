@@ -1,9 +1,13 @@
+import csv
 import json
+import shutil
 
 import pytest
 
 from refclass import cli
 from refclass.cli import main, parse_variant
+from refclass.engine import read_classification
+from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
 from conftest import MALFORMED_TABLES
@@ -167,6 +171,27 @@ class TestMetricsCommand:
         assert (report / "flow_jl_to_u1.csv").exists()
         meta = json.loads((report / "metadata.json").read_text())
         assert meta["formulas"]["coincidence"] == "min-overlap-v1"
+
+    def test_paper_ids_with_delimiter_or_quote_round_trip(self, corpus_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        names = {"P00": "a,b", "P02": 'a"b'}
+        for table in ("papers.csv", "references.csv"):
+            with open(data / table, newline="") as fh:
+                rows = [[names.get(r[0], r[0]), *r[1:]] for r in csv.reader(fh)]
+            with open(data / table, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(data), "--out", str(out),
+                     "--variants", "JL-F-0.8"]) == 0
+        table = out / "JL-F-0.8.csv"
+        firsts = {line.split(",")[0] for line in table.read_text().splitlines()}
+        assert {'"a', '"a""b"'} <= firsts  # '"a,b"' splits at its comma
+        assert main(["metrics", "--scheme", str(data / "scheme.csv"),
+                     "--classification", f"x={table}", "--corpus-dir", str(data),
+                     "--out", str(tmp_path / "report")]) == 0
+        back = read_classification(table, load_scheme(data / "scheme.csv"))
+        assert {"a,b", 'a"b'} <= set(back.paper_ids)
 
     def test_table_with_unknown_paper_is_an_error(self, corpus_dir, tmp_path, capsys):
         table = tmp_path / "x.csv"
