@@ -194,10 +194,15 @@ def assignment_histogram(c: Classification) -> AssignmentHistogram:
 
 def category_correlation(a: Classification, b: Classification,
                          scheme: CategoryScheme, common_only: bool = False) -> float:
-    """Pearson correlation of the per-category size vectors (zeros included)."""
+    """Pearson correlation of the per-category size vectors (zeros included).
+
+    It is undefined, and returned as ``nan``, when either vector is constant.
+    """
     wa, wb = _common_rows(a, b) if common_only else (a.weights, b.weights)
     xa = _column_sums(wa, scheme.size)
     xb = _column_sums(wb, scheme.size)
+    if xa.min() == xa.max() or xb.min() == xb.max():
+        return math.nan
     return float(np.corrcoef(xa, xb)[0, 1])
 
 

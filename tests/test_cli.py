@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -105,6 +106,29 @@ class TestRun:
                      "--variants", "JL-F-0.8", "--compare", f"x={table}"]) == 1
         assert capsys.readouterr().err == (
             f"error: {table}: paper_id not-a-paper is not in the corpus\n")
+
+    def test_constant_category_sizes_give_nan_correlation(self, tmp_path):
+        # two categories, one paper each: every classification has sizes [1, 1]
+        data = tmp_path / "data"
+        data.mkdir()
+        tables = {
+            "scheme": "code,area_code,kind\n1102,1100,regular\n1103,1100,regular\n",
+            "journals": "journal_id,code,degree\nJA,1102,1.0\nJB,1103,1.0\n",
+            "papers": "paper_id,journal_id\np1,JA\np2,JB\n",
+            "references": "paper_id,reference_id\n" + "".join(
+                f"{p},{r}\n" for p, refs in (("p1", "r1 r2 r3"), ("p2", "r4 r5 r6"))
+                for r in refs.split()),
+        }
+        for name, text in tables.items():
+            (data / f"{name}.csv").write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--dir", str(data), "--out", str(out),
+                         "--variants", "JL-F-0.8"]) == 0
+        with open(out / "report" / "pairwise.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["size_correlation"] for row in rows] == ["nan"]
 
     def test_does_not_mutate_inputs(self, corpus_dir, tmp_path):
         before = read_outputs(corpus_dir)
