@@ -58,6 +58,11 @@ class Corpus:
         return self.incidence, self.initial, self.ref_counts
 
     @cached_property
+    def citations(self) -> sp.csr_matrix:
+        """References x papers: the transpose of ``incidence``, built on first use."""
+        return self.incidence.T.tocsr()
+
+    @cached_property
     def _row_of(self) -> dict[str, int]:
         return dict(zip(self.paper_ids, range(len(self.paper_ids))))
 

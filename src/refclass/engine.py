@@ -192,7 +192,8 @@ def _matmul(a: sp.csr_matrix, b: sp.csr_matrix,
     most ``_PRODUCT_BLOCK_ENTRIES`` output entries, and each block's nonzeros
     are read off in row-major order, so the result needs no sort.  Every entry
     adds its terms in ascending column order of ``a``, starting from zero,
-    like scipy's sparse product, so the values are the same bit for bit.
+    like scipy's sparse product; the zeros of the dense copy add exact zeros
+    to the engine's non-negative sums, so the values are the same bit for bit.
     """
     dense_b = b.toarray()
     n, k = a.shape[0], dense_b.shape[1]
@@ -233,10 +234,13 @@ def _support(m: sp.csr_matrix) -> sp.csr_matrix:
     return out
 
 
-def _accumulate_matrix(incidence_t, w, inv_refs=None):
-    """References x categories matrix: normalized sums of citing-paper rows."""
-    if inv_refs is not None:
-        w = sp.csr_matrix((w.data * np.repeat(inv_refs, np.diff(w.indptr)),
+def _accumulate_matrix(incidence_t, w, scale=None):
+    """References x categories matrix: normalized sums of citing-paper rows.
+
+    ``scale`` multiplies each citing paper's row first.
+    """
+    if scale is not None:
+        w = sp.csr_matrix((w.data * np.repeat(scale, np.diff(w.indptr)),
                            w.indices, w.indptr), shape=w.shape)
     acc, _ = _row_normalize(_matmul(incidence_t, w))
     return acc
@@ -267,13 +271,15 @@ def run(corpus: Corpus, config: EngineConfig):
     elig_mask = np.zeros(n, dtype=bool)
     elig_mask[elig_rows] = True
 
-    scope_rows = np.arange(n) if config.include_ineligible_citers else elig_rows
     incidence_el = incidence[elig_rows]
-    incidence_t = incidence[scope_rows].T.tocsr()
-    inv = None
+    # citing papers outside the scope get weight 0: their terms add exact
+    # zeros to the reference sums, which leaves the other terms' sums as they are
+    scale = None
     if config.fractional:
-        counts = ref_counts[scope_rows].astype(float)
-        inv = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+        counts = ref_counts.astype(float)
+        scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+    if not config.include_ineligible_citers:
+        scale = elig_mask * (1.0 if scale is None else scale)
 
     # embed maps eligible-local rows back into full corpus rows; frozen holds
     # the never-updated rows (ineligible papers keep their journal vector).
@@ -287,7 +293,7 @@ def run(corpus: Corpus, config: EngineConfig):
 
         Returns the new eligible rows, the new full matrix and the stalled count.
         """
-        refs = _accumulate_matrix(incidence_t, w_full[scope_rows], inv)
+        refs = _accumulate_matrix(corpus.citations, w_full, scale)
         w_new, zero = _propagate_matrix(incidence_el, refs, w_el, mask)
         return w_new, (frozen + embed @ w_new).tocsr(), int(zero.sum())
 

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refclass import engine
-from refclass.corpus import CorpusError
+from refclass.corpus import CorpusError, eligible_rows, load_corpus
 from refclass.engine import (Classification, EngineConfig, EngineError,
                              _accumulate_matrix, _matmul, _propagate_matrix,
                              read_classification, run, write_classification)
 from refclass.oracle import dense_run, max_component_difference
+from refclass.scheme import load_scheme
+from refclass.synth import SynthParams, generate
 
 from conftest import MALFORMED_TABLES, build_corpus, build_scheme, vec_sum
 
@@ -41,6 +43,11 @@ class TestConfig:
                          per_paper_threshold=1e-3)
         with pytest.raises(EngineError):
             EngineConfig(convergence_threshold=None, per_paper_threshold=None)
+
+
+def load_corpus_paths(paths):
+    return load_corpus(paths["papers"], paths["journals"], paths["references"],
+                       load_scheme(paths["scheme"]))
 
 
 def csr(rows):
@@ -119,6 +126,25 @@ class TestAccumulate:
         # only p1 (citing r1) is in scope; r2 gets no weight at all
         refs = _accumulate_matrix(csr([[1, 0]]).T.tocsr(), csr([[1, 0]]))
         assert row_vectors(refs) == [{0: 1.0}, {}]
+
+
+    def test_zero_scaled_citers_equal_dropped_citers_bit_for_bit(self, tmp_path):
+        # run() scales citers outside the scope by 0 instead of dropping their rows
+        paths = generate(SynthParams(n_papers=300, n_categories=16, seed=3,
+                                     refs_per_paper_mean=4)).write(tmp_path)
+        corpus = load_corpus_paths(paths)
+        incidence, w0, ref_counts = corpus.matrices()
+        scope, _, _ = eligible_rows(corpus, 5)
+        assert 0 < len(scope) < len(corpus)
+        inv = 1.0 / np.maximum(ref_counts, 1)
+        for row_scale in (np.ones(len(corpus)), inv):
+            in_scope = np.zeros(len(corpus))
+            in_scope[scope] = row_scale[scope]
+            kept = _accumulate_matrix(corpus.citations, w0, in_scope)
+            dropped = _accumulate_matrix(incidence[scope].T.tocsr(), w0[scope],
+                                         row_scale[scope])
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(kept, part), getattr(dropped, part))
 
 
 class TestPropagate:
