@@ -45,11 +45,6 @@ class TestConfig:
             EngineConfig(convergence_threshold=None, per_paper_threshold=None)
 
 
-def load_corpus_paths(paths):
-    return load_corpus(paths["papers"], paths["journals"], paths["references"],
-                       load_scheme(paths["scheme"]))
-
-
 def csr(rows):
     return sp.csr_matrix(np.array(rows, dtype=float))
 
@@ -132,7 +127,8 @@ class TestAccumulate:
         # run() scales citers outside the scope by 0 instead of dropping their rows
         paths = generate(SynthParams(n_papers=300, n_categories=16, seed=3,
                                      refs_per_paper_mean=4)).write(tmp_path)
-        corpus = load_corpus_paths(paths)
+        corpus = load_corpus(paths["papers"], paths["journals"], paths["references"],
+                             load_scheme(paths["scheme"]))
         incidence, w0, ref_counts = corpus.matrices()
         scope, _, _ = eligible_rows(corpus, 5)
         assert 0 < len(scope) < len(corpus)
