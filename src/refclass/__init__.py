@@ -9,7 +9,7 @@ comparison indicators.
 
 __version__ = "0.1.0"
 
-from .assign import PruneConfig, prune, prune_classification
+from .assign import PruneConfig, prune_classification
 from .corpus import Corpus, CorpusError, eligible_rows, load_corpus
 from .engine import Classification, EngineConfig, run
 from .scheme import (CategoryScheme, JournalAssignment, SchemeError,
@@ -18,6 +18,6 @@ from .scheme import (CategoryScheme, JournalAssignment, SchemeError,
 __all__ = [
     "Classification", "CategoryScheme", "Corpus", "CorpusError", "EngineConfig",
     "JournalAssignment", "PruneConfig", "SchemeError", "eligible_rows",
-    "fractionalize_journal", "load_corpus", "load_scheme", "prune",
-    "prune_classification", "reference_scheme", "run",
+    "fractionalize_journal", "load_corpus", "load_scheme", "prune_classification",
+    "reference_scheme", "run",
 ]

@@ -65,12 +65,6 @@ def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
     return ranked
 
 
-def prune(vector: dict[int, float], config: PruneConfig) -> dict[int, float]:
-    """Keep the dominant descending-weight prefix and renormalize."""
-    out = _prune_rows(Classification.from_vectors("", {"": vector}).weights, config)
-    return dict(zip(out.indices.tolist(), out.data.tolist()))
-
-
 def prune_classification(c: Classification, config: PruneConfig) -> Classification:
     """Row-wise prune; the variant label gains the threshold suffix."""
     return dataclasses.replace(

@@ -39,18 +39,18 @@ class CliError(Exception):
 
 
 def parse_variant(token: str):
-    """'JL-F-0.8' -> ('JL', 'F', 0.8); 'U1-NF' or 'U1-NF-raw' -> raw."""
+    """'JL-F-0.8' -> ('JL', 'F', PruneConfig(0.8)); 'U1-NF' or 'U1-NF-raw' -> raw (None)."""
     parts = token.split("-")
     if len(parts) not in (2, 3) or parts[0] not in ("JL", "U1") \
             or parts[1] not in ("F", "NF"):
         raise CliError(f"bad variant {token!r}; expected e.g. JL-F-0.8 or U1-NF-raw")
-    threshold = None
+    prune = None
     if len(parts) == 3 and parts[2] != "raw":
         try:
-            threshold = float(parts[2])
-        except ValueError:
-            raise CliError(f"bad threshold in variant {token!r}") from None
-    return parts[0], parts[1], threshold
+            prune = PruneConfig(float(parts[2]))
+        except ValueError as exc:
+            raise CliError(f"bad threshold in variant {token!r}: {exc}") from None
+    return parts[0], parts[1], prune
 
 
 def _engine_config(args, fractional: bool) -> EngineConfig:
@@ -82,16 +82,26 @@ def _corpus_paths(args):
     return args.papers, args.journals, args.refs, args.scheme
 
 
-def _read_classifications(items, flag: str, scheme, corpus=None):
-    """NAME=PATH items -> {NAME: classification}.
-
-    With a corpus, every paper a table names must be in it.
-    """
+def _named_paths(items, flag: str, taken=frozenset()) -> dict[str, str]:
+    """NAME=PATH items -> {NAME: PATH}; a NAME may neither repeat nor be in ``taken``."""
     out = {}
     for item in items:
         name, _, path = item.partition("=")
         if not path:
             raise CliError(f"{flag} expects NAME=PATH, got {item!r}")
+        if name in out or name in taken:
+            raise CliError(f"{flag} name {name!r} is already in use")
+        out[name] = path
+    return out
+
+
+def _read_classifications(paths: dict[str, str], scheme, corpus=None):
+    """{NAME: PATH} -> {NAME: classification}.
+
+    With a corpus, every paper a table names must be in it.
+    """
+    out = {}
+    for name, path in paths.items():
         c = read_classification(path, scheme, label=name)
         if corpus is not None:
             try:
@@ -118,10 +128,15 @@ def cmd_run(args) -> int:
     if not variants:
         raise CliError("no variants requested")
     parsed = [parse_variant(v) for v in variants]
+    configs = {weight: _engine_config(args, fractional=(weight == "F"))
+               for weight in ("NF", "F") if any(w == weight for _, w, _ in parsed)}
+    labels = {f"{phase}-{weight}" + (f"-{prune.label}" if prune else "")
+              for phase, weight, prune in parsed}
+    compare = _named_paths(args.compare or [], "--compare", labels | {"initial"})
     papers_path, journals_path, refs_path, scheme_path = _corpus_paths(args)
     scheme = load_scheme(scheme_path)
     corpus = load_corpus(papers_path, journals_path, refs_path, scheme)
-    comparisons = _read_classifications(args.compare or [], "--compare", scheme, corpus)
+    comparisons = _read_classifications(compare, scheme, corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -129,10 +144,7 @@ def cmd_run(args) -> int:
                  f"papers={len(corpus)} references={len(corpus.ref_ids)}",
                  f"min_refs={args.min_refs} threshold_mode={args.threshold_mode}"]
     raw: dict[str, Classification] = {}
-    for weight in ("NF", "F"):
-        if not any(w == weight for _, w, _ in parsed):
-            continue
-        config = _engine_config(args, fractional=(weight == "F"))
+    for weight, config in configs.items():
         t0 = time.perf_counter()
         jl, u1 = run(corpus, config)
         raw[f"JL-{weight}"] = jl
@@ -147,10 +159,10 @@ def cmd_run(args) -> int:
             print(f"warning: {weight} run did not converge", file=sys.stderr)
 
     produced: dict[str, Classification] = {}
-    for token, (phase, weight, threshold) in zip(variants, parsed):
+    for phase, weight, prune in parsed:
         c = raw[f"{phase}-{weight}"]
-        if threshold is not None:
-            c = prune_classification(c, PruneConfig(threshold))
+        if prune is not None:
+            c = prune_classification(c, prune)
         produced[c.variant_label] = c
         write_classification(c, scheme, out / f"{c.variant_label}.csv")
 
@@ -189,8 +201,8 @@ def cmd_oracle(args) -> int:
         except OracleSizeError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return 2
-        for label, mine, ref in (("JL", jl.vectors, oracle_jl),
-                                 ("U1", u1.vectors, oracle_u1)):
+        for label, mine, ref in (("JL", jl.weights.toarray(), oracle_jl),
+                                 ("U1", u1.weights.toarray(), oracle_u1)):
             diff = max_component_difference(mine, ref)
             worst = max(worst, diff)
             print(f"{label}-{config.weight_label}: max diff {diff:.3e}")
@@ -202,16 +214,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    paths = _named_paths(args.classification, "--classification")
+    if not paths:
+        raise CliError("no classifications given")
+    if args.origin is not None and args.origin not in paths:
+        raise CliError(f"--origin {args.origin!r} is not a --classification name")
     scheme = load_scheme(args.scheme)
     corpus = None
     if args.corpus_dir:
         base = Path(args.corpus_dir)
         corpus = load_corpus(base / "papers.csv", base / "journals.csv",
                              base / "references.csv", scheme)
-    classifications = _read_classifications(
-        args.classification, "--classification", scheme, corpus)
-    if not classifications:
-        raise CliError("no classifications given")
+    classifications = _read_classifications(paths, scheme, corpus)
     write_report(args.out, classifications, scheme, corpus=corpus,
                  origin=args.origin)
     print(f"report written to {args.out}")

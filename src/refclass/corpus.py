@@ -87,10 +87,11 @@ def eligible_rows(corpus: Corpus, min_refs: int = DEFAULT_MIN_REFS):
     return np.flatnonzero(eligible), tuple(ids[eligible]), frozenset(ids[~eligible])
 
 
-def misc_exclusive_papers(corpus: Corpus) -> dict[str, int]:
+def misc_exclusive_papers(corpus: Corpus) -> np.ndarray:
     """Papers whose journal is assigned exclusively to one miscellaneous code.
 
-    Returns paper_id -> area code of that miscellaneous category.
+    Returns, by corpus row, the area code of that miscellaneous category, or
+    -1 for a paper whose journal is not misc-exclusive.
     """
     misc_area = {code: area for area, code in corpus.scheme.misc_codes.items()}
     journal_area = np.full(len(corpus.journals), -1)
@@ -98,10 +99,7 @@ def misc_exclusive_papers(corpus: Corpus) -> dict[str, int]:
         codes = {code for code, d in ja.raw_assignments if d > 0}
         if len(codes) == 1 and (code := codes.pop()) in misc_area:
             journal_area[j] = misc_area[code]
-    area = journal_area[corpus.paper_journal]
-    rows = np.flatnonzero(area >= 0)
-    ids = np.array(corpus.paper_ids, dtype=object)[rows]
-    return dict(zip(ids.tolist(), area[rows].tolist()))
+    return journal_area[corpus.paper_journal]
 
 
 def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,

@@ -227,13 +227,6 @@ def _row_normalize(m: sp.csr_matrix):
     return m, zero
 
 
-def _support(m: sp.csr_matrix) -> sp.csr_matrix:
-    out = m.tocsr(copy=True)
-    out.eliminate_zeros()
-    out.data = np.ones_like(out.data)
-    return out
-
-
 def _accumulate_matrix(incidence_t, w, scale=None):
     """References x categories matrix: normalized sums of citing-paper rows.
 
@@ -305,7 +298,7 @@ def run(corpus: Corpus, config: EngineConfig):
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        w_new, w_full, n_stalled = step(w_el, w_full, _support(w_el))
+        w_new, w_full, n_stalled = step(w_el, w_full, w_el)
         stalled += n_stalled
         diff = (w_new - w_el).tocsr()
         residual = float(diff.multiply(diff).sum())
@@ -338,9 +331,7 @@ def run(corpus: Corpus, config: EngineConfig):
 
 def _check_support(w, w0):
     """The masked loop must never move weight outside the journal support."""
-    extra = _support(w) - _support(w).multiply(_support(w0))
-    extra.eliminate_zeros()
-    if extra.nnz:
+    if ((w != 0) > (w0 != 0)).nnz:
         raise EngineError("support invariant violated: weight outside journal support")
 
 

@@ -90,22 +90,15 @@ def size_cv(c: Classification) -> float:
     return float(sizes.std() / mean)
 
 
-def refs_per_paper_acv(c: Classification, corpus: Corpus, ref_filter=None) -> float:
+def refs_per_paper_acv(c: Classification, corpus: Corpus) -> float:
     """Average over categories of the membership-weighted CV of reference counts.
 
-    ``ref_filter`` is an optional predicate on reference ids; papers
-    contribute to a category with their assignment weight there.
+    Papers contribute to a category with their assignment weight there.
     Categories with zero total weight or zero mean count are skipped.
     """
-    incidence, _, ref_counts = corpus.matrices()
-    if ref_filter is None:
-        counts = ref_counts
-    else:
-        kept = np.array([bool(ref_filter(r)) for r in corpus.ref_ids], dtype=float)
-        counts = incidence @ kept
     rows = corpus.rows_of(c.paper_ids)
     m = c.weights
-    n = np.repeat(counts[rows].astype(float), np.diff(m.indptr))
+    n = np.repeat(corpus.ref_counts[rows].astype(float), np.diff(m.indptr))
     k = m.shape[1]
     sw = np.bincount(m.indices, weights=m.data, minlength=k)
     swn = np.bincount(m.indices, weights=m.data * n, minlength=k)
@@ -231,20 +224,17 @@ def area_flow(origin: Classification, result: Classification,
     return list(scheme.area_codes), flow.toarray()
 
 
-def same_area_retention(origin_misc_papers: dict[str, int], result: Classification,
+def same_area_retention(home_area: np.ndarray, result: Classification,
                         scheme: CategoryScheme) -> dict[int, float]:
     """Percentage of result weight that stays in the home area.
 
-    ``origin_misc_papers`` maps paper ids (published in journals assigned
-    exclusively to one miscellaneous category) to that category's area.
+    ``home_area[i]`` is the home area of ``result``'s row ``i``: the area of
+    the miscellaneous category its journal is assigned to exclusively, or -1
+    for a paper that has none and is left out.
     """
-    pids = sorted(origin_misc_papers)
-    _, im, ir = np.intersect1d(np.array(pids, dtype=str),
-                               np.array(result.paper_ids, dtype=str),
-                               assume_unique=True, return_indices=True)
-    areas, home = np.unique([origin_misc_papers[pids[i]] for i in im],
-                            return_inverse=True)
-    m = result.weights[ir]
+    rows = np.flatnonzero(home_area >= 0)
+    areas, home = np.unique(home_area[rows], return_inverse=True)
+    m = result.weights[rows]
     in_home = (_category_areas(scheme, m.shape[1])[m.indices]
                == areas[np.repeat(home, np.diff(m.indptr))])
     indptr = np.concatenate(([0], np.cumsum(in_home)))[m.indptr]

@@ -20,7 +20,7 @@ class OracleSizeError(ValueError):
 
 
 def dense_run(corpus: Corpus, config: EngineConfig):
-    """Dense reference run; returns (jl_vectors, u1_vectors) as dict maps."""
+    """Dense reference run; returns the (JL, U1) eligible papers x categories arrays."""
     if len(corpus) > ORACLE_MAX_PAPERS:
         raise OracleSizeError(
             f"oracle limited to {ORACLE_MAX_PAPERS} papers, corpus has {len(corpus)}")
@@ -85,28 +85,16 @@ def dense_run(corpus: Corpus, config: EngineConfig):
         w = w_new
         if residual < threshold:
             break
-    jl = w.copy()
+    jl = w[eligible]
 
     for _ in range(config.unlimited_passes):
         omega = reference_vectors(w)
         w = back_propagate(w, omega, masked=False)
-    u1 = w
-
-    def as_maps(mat):
-        return {corpus.paper_ids[p]: {int(c): float(mat[p][c])
-                                      for c in np.flatnonzero(mat[p])}
-                for p in eligible}
-
-    return as_maps(jl), as_maps(u1)
+    return jl, w[eligible]
 
 
-def max_component_difference(a: dict, b: dict) -> float:
-    """Largest per-component deviation between two paper->vector maps."""
-    if set(a) != set(b):
-        raise ValueError("mismatched paper sets")
-    worst = 0.0
-    for pid, va in a.items():
-        vb = b[pid]
-        for c in set(va) | set(vb):
-            worst = max(worst, abs(va.get(c, 0.0) - vb.get(c, 0.0)))
-    return worst
+def max_component_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest per-component deviation between two papers x categories arrays."""
+    if a.shape != b.shape:
+        raise ValueError(f"mismatched shapes {a.shape} and {b.shape}")
+    return float(np.abs(a - b).max(initial=0.0))

@@ -21,14 +21,12 @@ def _write_table(path: Path, header, rows):
 
 def write_report(out_dir, classifications: dict[str, Classification],
                  scheme: CategoryScheme, corpus: Corpus | None = None,
-                 origin: str | None = None, ref_filters: dict | None = None):
+                 origin: str | None = None):
     """Write structure/pairwise/area/flow/retention tables plus metadata.
 
     ``origin`` names the classification used as the flow source and, when a
     corpus is given, the retention tables are computed for every
     classification against the corpus's misc-exclusive papers.
-    ``ref_filters`` maps column suffixes to reference-id predicates for the
-    extra reference-count ACV columns.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -54,15 +52,9 @@ def write_report(out_dir, classifications: dict[str, Classification],
     written.append("structure.csv")
 
     if corpus is not None:
-        filters = {"all": None}
-        filters.update(ref_filters or {})
-        header = ["classification"] + [f"acv_{k}" for k in filters]
-        rows = []
-        for name in names:
-            c = classifications[name]
-            rows.append([name] + [metrics.refs_per_paper_acv(c, corpus, f)
-                                  for f in filters.values()])
-        _write_table(out / "acv.csv", header, rows)
+        rows = [(name, metrics.refs_per_paper_acv(classifications[name], corpus))
+                for name in names]
+        _write_table(out / "acv.csv", ("classification", "acv_all"), rows)
         written.append("acv.csv")
 
     rows = []
@@ -110,12 +102,13 @@ def write_report(out_dir, classifications: dict[str, Classification],
             written.append(fname)
 
     if corpus is not None:
-        misc_papers = misc_exclusive_papers(corpus)
-        if misc_papers:
+        home_area = misc_exclusive_papers(corpus)
+        if (home_area >= 0).any():
             rows = []
             for name in names:
+                c = classifications[name]
                 retention = metrics.same_area_retention(
-                    misc_papers, classifications[name], scheme)
+                    home_area[corpus.rows_of(c.paper_ids)], c, scheme)
                 for area, pct in retention.items():
                     rows.append((name, area, pct))
             _write_table(out / "retention.csv",

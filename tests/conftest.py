@@ -9,7 +9,9 @@ import math
 import pytest
 from hypothesis import HealthCheck, settings
 
+from refclass.assign import prune_classification
 from refclass.corpus import Corpus, load_corpus
+from refclass.engine import Classification
 
 settings.register_profile(
     "refclass", deadline=None,
@@ -31,6 +33,12 @@ MALFORMED_TABLES = {
 
 def vec_sum(vec: dict[int, float]) -> float:
     return math.fsum(vec.values())
+
+
+def prune_vector(vector: dict[int, float], config) -> dict[int, float]:
+    """``prune_classification`` of a one-paper classification, as its vector."""
+    c = Classification.from_vectors("", {"": vector})
+    return prune_classification(c, config).vectors[""]
 
 
 def build_scheme(categories, multi=None, misc=None) -> CategoryScheme:

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from refclass import cli
+from refclass.assign import PruneConfig
 from refclass.cli import main, parse_variant
 from refclass.engine import read_classification
 from refclass.scheme import load_scheme
@@ -23,6 +24,18 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def one_paper_table(corpus_dir, tmp_path):
+    """A classification table that puts the corpus's first paper in one category."""
+    with open(corpus_dir / "papers.csv", newline="") as fh:
+        pid = list(csv.DictReader(fh))[0]["paper_id"]
+    with open(corpus_dir / "scheme.csv", newline="") as fh:
+        code = next(r["code"] for r in csv.DictReader(fh) if r["kind"] == "regular")
+    table = tmp_path / "x.csv"
+    table.write_text(f"paper_id,category_code,weight\n{pid},{code},1.0\n")
+    return table
+
+
 def read_outputs(path, skip=("run.log",)):
     # run.log records wall-clock seconds, so it is excluded from
     # byte-for-byte comparisons
@@ -33,7 +46,7 @@ def read_outputs(path, skip=("run.log",)):
 
 class TestParseVariant:
     def test_thresholded(self):
-        assert parse_variant("JL-F-0.8") == ("JL", "F", 0.8)
+        assert parse_variant("JL-F-0.8") == ("JL", "F", PruneConfig(0.8))
 
     def test_raw(self):
         assert parse_variant("U1-NF") == ("U1", "NF", None)
@@ -42,6 +55,10 @@ class TestParseVariant:
     def test_bad_token(self):
         with pytest.raises(cli.CliError):
             parse_variant("XX-F-0.8")
+
+    def test_threshold_out_of_range(self):
+        with pytest.raises(cli.CliError, match="U1-NF-1.5"):
+            parse_variant("U1-NF-1.5")
 
 
 class TestRun:
@@ -130,6 +147,47 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert [row["size_correlation"] for row in rows] == ["nan"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--variants", "JL-F-0.8,U1-NF-1.5"], "threshold must be in (0, 1]"),
+        (["--threshold", "0"], "convergence threshold must be positive"),
+        (["--max-iterations", "0"], "max_iterations must be >= 1"),
+    ])
+    def test_bad_setting_fails_before_any_work(self, corpus_dir, tmp_path, capsys,
+                                               monkeypatch, flags, message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "load_corpus", no_ingest)
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out)] + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants, name", [
+        ("JL-F-0.8", "initial"),
+        ("JL-F-0.8", "JL-F-0.8"),
+        ("U1-NF-raw", "U1-NF"),
+    ])
+    def test_compare_name_of_a_produced_classification_is_an_error(
+            self, corpus_dir, tmp_path, capsys, one_paper_table, variants, name):
+        out = tmp_path / "out"
+        table = one_paper_table
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", variants, "--compare", f"{name}={table}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --compare name {name!r} is already in use\n")
+        assert not out.exists()
+
+    def test_repeated_compare_name_is_an_error(self, corpus_dir, tmp_path, capsys,
+                                               one_paper_table):
+        out = tmp_path / "out"
+        table = one_paper_table
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", "JL-F-0.8",
+                     "--compare", f"x={table}", "--compare", f"x={table}"]) == 1
+        assert capsys.readouterr().err == "error: --compare name 'x' is already in use\n"
+        assert not out.exists()
+
     def test_does_not_mutate_inputs(self, corpus_dir, tmp_path):
         before = read_outputs(corpus_dir)
         main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "o"),
@@ -195,6 +253,26 @@ class TestMetricsCommand:
         assert (report / "flow_jl_to_u1.csv").exists()
         meta = json.loads((report / "metadata.json").read_text())
         assert meta["formulas"]["coincidence"] == "min-overlap-v1"
+
+    def test_unknown_origin_is_an_error(self, corpus_dir, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(run_out),
+                     "--variants", "JL-F-0.8"]) == 0
+        report = tmp_path / "report"
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"jl={run_out / 'JL-F-0.8.csv'}",
+                     "--origin", "typo", "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --origin 'typo' is not a --classification name\n")
+        assert not report.exists()
+
+    def test_repeated_classification_name_is_an_error(self, corpus_dir, tmp_path,
+                                                      capsys, one_paper_table):
+        table = one_paper_table
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"x={table}", "--classification", f"x={table}",
+                     "--out", str(tmp_path / "report")]) == 1
+        assert "--classification name 'x' is already in use" in capsys.readouterr().err
 
     def test_paper_ids_with_delimiter_or_quote_round_trip(self, corpus_dir, tmp_path):
         data = tmp_path / "data"

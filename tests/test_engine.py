@@ -1,3 +1,7 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refclass import engine
+from refclass import scheme as scheme_module
 from refclass.corpus import CorpusError, eligible_rows, load_corpus
 from refclass.engine import (Classification, EngineConfig, EngineError,
                              _accumulate_matrix, _matmul, _propagate_matrix,
@@ -251,8 +256,21 @@ class TestRun:
             cfg = EngineConfig(fractional=fractional)
             jl, u1 = run(corpus, cfg)
             oracle_jl, oracle_u1 = dense_run(corpus, cfg)
-            assert max_component_difference(jl.vectors, oracle_jl) <= 1e-12
-            assert max_component_difference(u1.vectors, oracle_u1) <= 1e-12
+            assert max_component_difference(jl.weights.toarray(), oracle_jl) <= 1e-12
+            assert max_component_difference(u1.weights.toarray(), oracle_u1) <= 1e-12
+
+    def test_oracle_difference_needs_equal_shapes(self):
+        assert max_component_difference(np.eye(2), np.eye(2)[::-1]) == 1.0
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            max_component_difference(np.zeros((2, 3)), np.zeros((3, 3)))
+
+    def test_support_check_rejects_weight_outside_journal_support(self):
+        w0 = sp.csr_matrix([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        inside = sp.csr_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        outside = sp.csr_matrix([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        engine._check_support(inside, w0)
+        with pytest.raises(EngineError, match="support invariant"):
+            engine._check_support(outside, w0)
 
     def test_jl_support_subset_of_journal_support(self):
         scheme = build_scheme([(1102, 1100), (1103, 1100), (1104, 1100)])
@@ -337,3 +355,120 @@ def test_read_classification_rejects_malformed_row(tmp_path, case):
         read_classification(path, scheme)
     assert f"{path}, line {line}: " in str(err.value)
     assert field in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# read_classification against a plain reading of generated tables
+
+FUZZ_SCHEME = build_scheme([(1102, 1100), (1103, 1100), (1202, 1200)],
+                           multi=1000, misc={1100: 1101})
+# ids with the delimiter, quotes and spaces inside, so some fields are quoted
+FUZZ_ID = st.text(alphabet='ab1,"; ', min_size=1, max_size=4).map(lambda t: f"x{t}x")
+# (field text, category index); the index is None where the code must be rejected
+CODE = st.sampled_from([("1102", 0), ("1103", 1), ("1202", 2)])
+BAD_CODE = st.sampled_from([("1101", None), ("1000", None), ("99999", None),
+                            ("x1102", None), ("11.02", None), ("", None)])
+# (field text, weight); the weight is None where it must be rejected
+WEIGHT = st.one_of(
+    st.floats(min_value=0.0, max_value=1e9, exclude_min=True).map(lambda w: (repr(w), w)),
+    st.sampled_from([("1", 1.0), ("2.5e-3", 2.5e-3)]))
+BAD_WEIGHT = st.sampled_from([("0", None), ("0.0", None), ("-0.5", None), ("nan", None),
+                              ("inf", None), ("-inf", None), ("abc", None), ("", None)])
+
+
+@st.composite
+def classification_tables(draw):
+    """A classification table as text and what each of its rows holds.
+
+    Returns the text and, per row, (line, pid, (code text, index),
+    (weight text, weight)).  At most one kind of defect is planted: a bad
+    code, a bad weight, or one or two repeated (paper, code) pairs.
+    """
+    pids = draw(st.lists(FUZZ_ID, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(st.sampled_from(pids), CODE, WEIGHT),
+                         min_size=1, max_size=12, unique_by=lambda row: row[:2]))
+    defect = draw(st.sampled_from((None, None, "code", "weight", "repeat")))
+    if defect == "code":
+        rows.append((draw(st.sampled_from(pids)), draw(BAD_CODE), draw(WEIGHT)))
+    elif defect == "weight":
+        rows.append((draw(st.sampled_from(pids)), draw(CODE), draw(BAD_WEIGHT)))
+    elif defect == "repeat":
+        for _ in range(draw(st.integers(1, 2))):
+            rows.append(draw(st.sampled_from(rows))[:2] + (draw(WEIGHT),))
+    rows = draw(st.permutations(rows))
+    columns = ["paper_id", "category_code", "weight"]
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, 3)), "note")
+    columns = draw(st.permutations(columns))
+
+    def fields(pid, code, weight):
+        values = {"paper_id": pid, "category_code": code[0], "weight": weight[0],
+                  "note": "n, b"}
+        return [values[c] for c in columns]
+
+    lines = [_csv_line(columns)] + [_csv_line(fields(*row)) for row in rows]
+    row_of_line = [None] + list(range(len(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, "")
+        row_of_line.insert(at, None)
+    numbered = [None] * len(rows)
+    for line, row in enumerate(row_of_line, start=1):
+        if row is not None:
+            numbered[row] = (line, *rows[row])
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    bom = draw(st.sampled_from(("", "\ufeff")))
+    return bom + ending.join(lines) + ending, numbered
+
+
+def _csv_line(values) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(values)
+    return out.getvalue()
+
+
+def plain_read(rows):
+    """(line, words of the error) of the first rejected row, or {pid: {index: weight}}.
+
+    A malformed code or weight anywhere wins over a repeated pair; a repeat
+    is reported at the first row that repeats an earlier one.
+    """
+    for line, _, (_, index), (_, weight) in rows:
+        if index is None:
+            return line, "category_code"
+        if weight is None:
+            return line, "weight"
+    vectors: dict[str, dict[int, float]] = {}
+    for line, pid, (_, index), (_, weight) in rows:
+        if index in vectors.setdefault(pid, {}):
+            return line, "repeats category_code"
+        vectors[pid][index] = weight
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=classification_tables(), chunk_rows=st.integers(1, 4))
+def test_read_classification_matches_plain_reading(table, chunk_rows):
+    text, rows = table
+    expected = plain_read(rows)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(scheme_module, "CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, tuple):
+            line, words = expected
+            with pytest.raises(CorpusError) as err:
+                read_classification(path, FUZZ_SCHEME)
+            assert str(err.value).startswith(f"{path}, line {line}: ")
+            assert words in str(err.value)
+            return
+        c = read_classification(path, FUZZ_SCHEME)
+        assert c.paper_ids == tuple(sorted(expected))
+        assert c.vectors == expected
+        # any table that reads also round-trips through write_classification
+        write_classification(c, FUZZ_SCHEME, Path(tmp) / "back.csv")
+        back = read_classification(Path(tmp) / "back.csv", FUZZ_SCHEME)
+    assert back.paper_ids == c.paper_ids
+    assert back.variant_label == c.variant_label
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.weights, attr), getattr(c.weights, attr))

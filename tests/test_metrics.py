@@ -96,16 +96,6 @@ class TestRefsAcv:
             cvs.append(math.sqrt(var) / mean)
         assert refs_per_paper_acv(c, corpus) == pytest.approx(np.mean(cvs), abs=1e-12)
 
-    def test_ref_filter(self):
-        corpus = self.make_corpus([3, 3])
-        c = classification({p: {0: 1.0} for p in corpus.paper_ids})
-        # keep only p0's refs; p1 then counts zero
-        acv = refs_per_paper_acv(c, corpus, ref_filter=lambda r: r.startswith("r0"))
-        w = np.array([1.0, 1.0])
-        n = np.array([3, 0])
-        mean = (w * n).sum() / w.sum()
-        cv = math.sqrt(((w * (n - mean) ** 2).sum() / w.sum())) / mean
-        assert acv == pytest.approx(cv)
 
 
 class TestCoincidence:
@@ -233,16 +223,22 @@ class TestAreaFlow:
 class TestRetention:
     def test_result_inside_area(self):
         result = classification({"p": {0: 1.0}})
-        assert same_area_retention({"p": 1100}, result, SCHEME) == {1100: 100.0}
+        assert same_area_retention(np.array([1100]), result, SCHEME) == {1100: 100.0}
 
     def test_result_outside_area(self):
         result = classification({"p": {3: 1.0}})
-        assert same_area_retention({"p": 1100}, result, SCHEME) == {1100: 0.0}
+        assert same_area_retention(np.array([1100]), result, SCHEME) == {1100: 0.0}
 
     def test_partial_weight(self):
         result = classification({"p": {0: 0.25, 3: 0.75}})
-        out = same_area_retention({"p": 1100}, result, SCHEME)
+        out = same_area_retention(np.array([1100]), result, SCHEME)
         assert out[1100] == pytest.approx(25.0)
+
+    def test_rows_without_home_area_are_left_out(self):
+        result = classification({"p": {0: 0.5, 3: 0.5}, "q": {3: 1.0}, "r": {1: 1.0},
+                                 "s": {4: 1.0}})
+        out = same_area_retention(np.array([1100, -1, 1100, 1200]), result, SCHEME)
+        assert out == {1100: 75.0, 1200: 100.0}
 
 
 def test_formula_versions_declared():
