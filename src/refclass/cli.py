@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -325,6 +326,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    # glibc's sliding mmap/trim thresholds unmapped the engine's freed multi-MiB
+    # temporaries on a share of iterations that varied from run to run; pin them
+    if hasattr(libc := ctypes.CDLL(None) if sys.platform == "linux" else None, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap-serve blocks up to 32 MiB
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep 64 MiB of freed heap mapped
     try:
         args = parse_args(argv)
         if getattr(args, "threads", 1) != 1:
