@@ -131,9 +131,13 @@ def cmd_run(args) -> int:
     parsed = [parse_variant(v) for v in variants]
     configs = {weight: _engine_config(args, fractional=(weight == "F"))
                for weight in ("NF", "F") if any(w == weight for _, w, _ in parsed)}
-    labels = {f"{phase}-{weight}" + (f"-{prune.label}" if prune else "")
-              for phase, weight, prune in parsed}
-    compare = _named_paths(args.compare or [], "--compare", labels | {"initial"})
+    labels: dict[str, str] = {}  # variant label -> the token naming it
+    for token, (phase, weight, prune) in zip(variants, parsed):
+        label = f"{phase}-{weight}" + (f"-{prune.label}" if prune else "")
+        if label in labels:
+            raise CliError(f"variants {labels[label]!r} and {token!r} both name {label}")
+        labels[label] = token
+    compare = _named_paths(args.compare or [], "--compare", labels.keys() | {"initial"})
     papers_path, journals_path, refs_path, scheme_path = _corpus_paths(args)
     scheme = load_scheme(scheme_path)
     corpus = load_corpus(papers_path, journals_path, refs_path, scheme)

@@ -34,8 +34,8 @@ ABSOLUTE_THRESHOLD = 3000.0
 
 # rows formatted per write call, which bounds the memory write_classification needs
 _WRITE_CHUNK_ROWS = 65536
-# output entries per dense block of _matmul: small enough for a block to stay in
-# cache, which keeps the per-iteration cost linear in the paper count
+# output entries per row block of the loop's dense products: small enough for a
+# block to stay in cache, which keeps the per-iteration cost linear in the paper count
 _PRODUCT_BLOCK_ENTRIES = 1 << 16
 
 
@@ -182,71 +182,85 @@ def weight_order(m: sp.csr_matrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix kernels
+# block kernels
 
-def _matmul(a: sp.csr_matrix, b: sp.csr_matrix,
-            mask: sp.csr_matrix | None = None) -> sp.csr_matrix:
-    """Canonical CSR of ``a @ b``, restricted to the nonzero entries of ``mask``.
+def _row_blocks(m: sp.csr_matrix, width: int) -> list[tuple[int, sp.csr_matrix]]:
+    """(first row, block) pairs covering CSR ``m``, cut at ``indptr`` offsets.
 
-    ``b`` is made dense once; ``a`` is multiplied by it in row blocks of at
-    most ``_PRODUCT_BLOCK_ENTRIES`` output entries, and each block's nonzeros
-    are read off in row-major order, so the result needs no sort.  Every entry
-    adds its terms in ascending column order of ``a``, starting from zero,
-    like scipy's sparse product; the zeros of the dense copy add exact zeros
-    to the engine's non-negative sums, so the values are the same bit for bit.
+    A block has at most ``_PRODUCT_BLOCK_ENTRIES // width`` rows (at least
+    one), so that its product with a ``width``-column dense operand stays in cache.
     """
-    dense_b = b.toarray()
-    n, k = a.shape[0], dense_b.shape[1]
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // k)
-    columns = np.broadcast_to(np.arange(k, dtype=np.int32), (step, k))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices, data = [np.empty(0, dtype=np.int32)], [np.empty(0)]
-    for lo in range(0, n, step):
-        block = a[lo:lo + step] @ dense_b
-        keep = block != 0
-        if mask is not None:
-            keep &= mask[lo:lo + step].toarray() != 0
-        indptr[lo + 1:lo + 1 + len(block)] = np.count_nonzero(keep, axis=1)
-        indices.append(columns[:len(block)][keep])
-        data.append(block[keep])
-    np.cumsum(indptr, out=indptr)
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                         shape=(n, k))
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // width)
+    n, p = m.shape[0], m.indptr
+    return [(lo, sp.csr_matrix((m.data[p[lo]:p[hi]], m.indices[p[lo]:p[hi]],
+                                p[lo:hi + 1] - p[lo]), shape=(hi - lo, m.shape[1])))
+            for lo, hi in ((lo, min(lo + step, n)) for lo in range(0, n, step))]
 
 
-def _row_normalize(m: sp.csr_matrix):
-    """Scale rows of ``m`` in place to unit sum; all-zero rows stay zero.
+def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run of ``counts`` consecutive values, 1 for an empty run.
 
-    Returns (m, zero_rows).
+    ``np.add.reduceat`` adds a run as scipy's CSR ``sum(axis=1)`` adds a row.
     """
-    sums = np.asarray(m.sum(axis=1)).ravel()
-    zero = sums == 0
-    scale = np.where(zero, 1.0, sums)
-    m.data /= np.repeat(scale, np.diff(m.indptr))
-    m.eliminate_zeros()
-    return m, zero
+    sums = np.ones(len(counts))
+    some = counts > 0
+    sums[some] = np.add.reduceat(values, (np.cumsum(counts) - counts)[some])
+    return sums
 
 
-def _accumulate_matrix(incidence_t, w, scale=None):
-    """References x categories matrix: normalized sums of citing-paper rows.
+def _accumulate(blocks, scaled: np.ndarray, refs: np.ndarray) -> None:
+    """Fill ``refs`` with citations @ ``scaled`` by blocks, rows scaled to unit sum.
 
-    ``scale`` multiplies each citing paper's row first.
+    An entry adds its terms in ascending paper order from zero, like scipy's
+    sparse product; the zeros of ``scaled`` add exact zeros to these
+    non-negative sums.  A row is divided by the sum of its nonzeros.
     """
-    if scale is not None:
-        w = sp.csr_matrix((w.data * np.repeat(scale, np.diff(w.indptr)),
-                           w.indices, w.indptr), shape=w.shape)
-    acc, _ = _row_normalize(_matmul(incidence_t, w))
-    return acc
+    for lo, block in blocks:
+        part = refs[lo:lo + block.shape[0]]
+        part[...] = block @ scaled
+        nonzero = part != 0
+        part /= _row_sums(part[nonzero], np.count_nonzero(nonzero, axis=1))[:, None]
 
 
-def _propagate_matrix(incidence, ref_w, prev=None, mask=None):
-    """Paper rows: masked sums of cited reference rows, renormalized.
+def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, masked: bool):
+    """Paper rows as CSR: sums of cited reference rows, renormalized.
 
-    Rows whose (masked) sum vanishes fall back to the matching row of
-    ``prev`` and are reported as stalled.
+    ``blocks`` are the row blocks of the eligible papers x references
+    incidence.  ``masked`` reads off each block's product only the entries
+    stored in ``prev`` (it holds no explicit zeros), in column order.  A row
+    whose sum vanishes takes ``prev``'s row and is reported as stalled;
+    scipy's sum then leaves the indices unsorted.  Returns (rows, stalled).
     """
-    out, zero = _row_normalize(_matmul(incidence, ref_w, mask))
-    if prev is not None and zero.any():
+    n, k = prev.shape
+    size = prev.nnz if masked else n * k
+    if masked:
+        mask = prev if prev.has_sorted_indices else prev.sorted_indices()
+    indices, data = np.empty(size, dtype=np.int32), np.empty(size)
+    counts = np.zeros(n, dtype=np.int64)
+    end = 0
+    for lo, block in blocks:
+        hi = lo + block.shape[0]
+        product = block @ refs
+        if masked:
+            bounds = mask.indptr[lo:hi + 1]
+            rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
+            cols = mask.indices[bounds[0]:bounds[-1]]
+            values = np.take(product, rows * k + cols)
+            keep = values != 0
+            counts[lo:hi] = np.diff(bounds) - np.bincount(rows[~keep], minlength=hi - lo)
+            values, cols = values[keep], cols[keep]
+        else:
+            keep = product != 0
+            counts[lo:hi] = np.count_nonzero(keep, axis=1)
+            values, cols = product[keep], np.flatnonzero(keep) % k
+        values /= np.repeat(_row_sums(values, counts[lo:hi]), counts[lo:hi])
+        start, end = end, end + len(values)
+        data[start:end], indices[start:end] = values, cols
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    out = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, k))
+    out.eliminate_zeros()
+    zero = counts == 0
+    if zero.any():
         out = (out + sp.diags(zero.astype(float)) @ prev).tocsr()
     return out, zero
 
@@ -255,50 +269,55 @@ def _propagate_matrix(incidence, ref_w, prev=None, mask=None):
 # full run
 
 def run(corpus: Corpus, config: EngineConfig):
-    """Execute the full loop and return the (JL, U1) classification pair."""
+    """Execute the full loop and return the (JL, U1) classification pair.
+
+    The loop's right operands are two dense buffers, updated in place; the
+    eligible papers' rows are CSR.
+    """
     incidence, w0, ref_counts = corpus.matrices()
-    n = len(corpus.paper_ids)
+    k = w0.shape[1]
     elig_rows, elig_ids, unreclassified = eligible_rows(corpus, config.min_refs)
     if not len(elig_rows):
         raise EngineError("no eligible papers")
-    elig_mask = np.zeros(n, dtype=bool)
-    elig_mask[elig_rows] = True
 
-    incidence_el = incidence[elig_rows]
-    # citing papers outside the scope get weight 0: their terms add exact
-    # zeros to the reference sums, which leaves the other terms' sums as they are
-    scale = None
+    # each citing paper's vector is scaled by 1 / its reference count (F) and by
+    # 0 outside the scope: zero terms add exact zeros to the reference sums,
+    # which leaves the other terms' sums as they are
+    scale = np.ones(len(corpus.paper_ids))
     if config.fractional:
-        counts = ref_counts.astype(float)
-        scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+        scale = np.divide(1.0, ref_counts, out=np.zeros(len(scale)), where=ref_counts > 0)
     if not config.include_ineligible_citers:
-        scale = elig_mask * (1.0 if scale is None else scale)
+        scale[~np.isin(np.arange(len(scale)), elig_rows)] = 0.0
 
-    # embed maps eligible-local rows back into full corpus rows; frozen holds
-    # the never-updated rows (ineligible papers keep their journal vector).
-    embed = sp.csr_matrix(
-        (np.ones(len(elig_rows)), (elig_rows, np.arange(len(elig_rows)))),
-        shape=(n, len(elig_rows)))
-    frozen = (sp.diags((~elig_mask).astype(float)) @ w0).tocsr()
+    # the loop's dense operands: every paper's current vector times its scale
+    # (ineligible papers keep their journal vector) and the reference vectors
+    scaled = w0.toarray()
+    scaled *= scale[:, None]
+    refs = np.empty((corpus.citations.shape[0], k))
+    citing_blocks = _row_blocks(corpus.citations, k)
+    paper_blocks = _row_blocks(incidence[elig_rows], k)
+    row_offsets, elig_scale = elig_rows * k, scale[elig_rows]
 
-    def step(w_el, w_full, mask):
-        """One accumulate -> propagate -> re-embed step (mask None: unlimited).
-
-        Returns the new eligible rows, the new full matrix and the stalled count.
-        """
-        refs = _accumulate_matrix(corpus.citations, w_full, scale)
-        w_new, zero = _propagate_matrix(incidence_el, refs, w_el, mask)
-        return w_new, (frozen + embed @ w_new).tocsr(), int(zero.sum())
+    def step(w_el, masked, embed=True):
+        """One accumulate -> propagate (-> re-embed) step: (new rows, stalled count)."""
+        _accumulate(citing_blocks, scaled, refs)
+        w_new, zero = _propagate(paper_blocks, refs, w_el, masked)
+        if embed:
+            flat = scaled.reshape(-1)
+            flat[np.repeat(row_offsets, np.diff(w_el.indptr)) + w_el.indices] = 0.0
+            counts = np.diff(w_new.indptr)
+            flat[np.repeat(row_offsets, counts) + w_new.indices] = (
+                w_new.data * np.repeat(elig_scale, counts))
+        return w_new, int(zero.sum())
 
     threshold = config.effective_threshold(len(elig_ids))
     w_el = w0[elig_rows].tocsr()
-    w_full = w0.tocsr()
     trace: list[float] = []
     stalled = 0
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        w_new, w_full, n_stalled = step(w_el, w_full, w_el)
+        w_new, n_stalled = step(w_el, True)
         stalled += n_stalled
         diff = (w_new - w_el).tocsr()
         residual = float(diff.multiply(diff).sum())
@@ -323,8 +342,8 @@ def run(corpus: Corpus, config: EngineConfig):
         )
 
     jl = classification("JL", w_el, stalled)
-    for _ in range(config.unlimited_passes):
-        w_el, w_full, n_stalled = step(w_el, w_full, None)
+    for left in reversed(range(config.unlimited_passes)):
+        w_el, n_stalled = step(w_el, False, embed=left > 0)
         stalled += n_stalled
     return jl, classification("U1", w_el, stalled)
 

@@ -24,10 +24,13 @@ def write_report(out_dir, classifications: dict[str, Classification],
                  origin: str | None = None):
     """Write structure/pairwise/area/flow/retention tables plus metadata.
 
-    ``origin`` names the classification used as the flow source and, when a
-    corpus is given, the retention tables are computed for every
-    classification against the corpus's misc-exclusive papers.
+    ``origin`` names the classification used as the flow source (ValueError
+    if it is not one of them) and, when a corpus is given, the retention
+    tables are computed for every classification against the corpus's
+    misc-exclusive papers.
     """
+    if origin is not None and origin not in classifications:
+        raise ValueError(f"origin {origin!r} is not one of the classifications")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = sorted(classifications)
@@ -85,7 +88,7 @@ def write_report(out_dir, classifications: dict[str, Classification],
     _write_table(out / "areas.csv", ["area_code"] + names, rows)
     written.append("areas.csv")
 
-    if origin is not None and origin in classifications:
+    if origin is not None:
         for name in names:
             if name == origin:
                 continue

@@ -129,10 +129,14 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
     """Load a scheme from a delimited table with columns code, area_code, kind.
 
     ``kind`` is one of regular / misc / multidisciplinary.  ``source`` may be
-    a path or an open text file.
+    a path or an open text file.  Every error names the file, and the line
+    where a row is to blame.
     """
+    name = str(source) if isinstance(source, (str, Path)) else getattr(
+        source, "name", "<table>")
     categories = []
     misc_codes: dict[int, int] = {}
+    misc_lines: dict[int, int] = {}
     multi_code = None
     seen: set[int] = set()
     for chunk in read_table(source, ("code", "area_code", "kind"), (), delimiter):
@@ -154,7 +158,7 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
             elif kind == "misc":
                 if area in misc_codes:
                     raise chunk.error(i, f"area {area} has two miscellaneous codes")
-                misc_codes[area] = code
+                misc_codes[area], misc_lines[area] = code, chunk.lines[i]
             elif kind == "multidisciplinary":
                 if multi_code is not None:
                     raise chunk.error(i, "multiple multidisciplinary rows")
@@ -162,7 +166,14 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
             else:
                 raise chunk.error(i, f"unknown kind {kind!r} for code {code}")
     if not seen:
-        raise SchemeError("empty scheme table")
+        raise SchemeError(f"{name}: empty scheme table")
+    if not categories:
+        raise SchemeError(f"{name}: scheme has no regular categories")
+    areas = {c.area_code for c in categories}
+    for area, code in misc_codes.items():
+        if area not in areas:
+            raise SchemeError(f"{name}, line {misc_lines[area]}: miscellaneous code "
+                              f"{code} belongs to area {area} with no regular categories")
     return CategoryScheme(categories, multi_code, misc_codes)
 
 

@@ -163,6 +163,25 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variants, first, second, label", [
+        ("JL-F-0.8,JL-F-0.80,U1-NF,U1-NF-raw", "JL-F-0.8", "JL-F-0.80", "JL-F-0.8"),
+        ("U1-NF,JL-F-0.5,U1-NF-raw", "U1-NF", "U1-NF-raw", "U1-NF"),
+        ("JL-NF-0.5,JL-NF-0.5", "JL-NF-0.5", "JL-NF-0.5", "JL-NF-0.5"),
+    ])
+    def test_variants_naming_one_label_are_an_error(self, corpus_dir, tmp_path, capsys,
+                                                    monkeypatch, variants, first,
+                                                    second, label):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "load_corpus", no_ingest)
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", variants]) == 1
+        assert capsys.readouterr().err == (
+            f"error: variants {first!r} and {second!r} both name {label}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("variants, name", [
         ("JL-F-0.8", "initial"),
         ("JL-F-0.8", "JL-F-0.8"),

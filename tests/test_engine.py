@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from refclass import engine
 from refclass import scheme as scheme_module
-from refclass.corpus import CorpusError, eligible_rows, load_corpus
-from refclass.engine import (Classification, EngineConfig, EngineError,
-                             _accumulate_matrix, _matmul, _propagate_matrix,
-                             read_classification, run, write_classification)
+from refclass.corpus import Corpus, CorpusError, eligible_rows, load_corpus
+from refclass.engine import (Classification, EngineConfig, EngineError, _accumulate,
+                             _propagate, _row_blocks, read_classification, run,
+                             write_classification)
 from refclass.oracle import dense_run, max_component_difference
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
@@ -64,7 +64,7 @@ def row_vectors(m):
 
 
 def sparse_product(a, b, mask=None):
-    """The scipy composition _matmul replaces: SpGEMM, sort, mask, drop zeros."""
+    """The scipy composition the block kernels replace: SpGEMM, sort, mask, drop zeros."""
     out = (a @ b).tocsr()
     out.sort_indices()
     if mask is not None:
@@ -73,10 +73,52 @@ def sparse_product(a, b, mask=None):
     return out
 
 
+def scipy_row_normalize(m):
+    """Rows of CSR ``m`` scaled in place by scipy's ``sum(axis=1)``: (m, zero rows)."""
+    sums = np.asarray(m.sum(axis=1)).ravel()
+    zero = sums == 0
+    m.data /= np.repeat(np.where(zero, 1.0, sums), np.diff(m.indptr))
+    m.eliminate_zeros()
+    return m, zero
+
+
+def accumulate(citations, w, scale=None):
+    """run()'s references x categories matrix for citing rows ``w``, as CSR."""
+    k = w.shape[1]
+    scaled = w.toarray() if scale is None else w.toarray() * scale[:, None]
+    refs = np.empty((citations.shape[0], k))
+    _accumulate(_row_blocks(citations, k), scaled, refs)
+    return sp.csr_matrix(refs)
+
+
+def propagate(incidence, refs, prev, masked=False):
+    """run()'s paper rows from reference rows ``refs``: (CSR rows, stalled)."""
+    return _propagate(_row_blocks(incidence, refs.shape[1]), refs.toarray(), prev,
+                      masked)
+
+
+def reversed_rows(m):
+    """``m`` with each row's stored entries in reverse order: unsorted indices."""
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                            for lo, hi in zip(m.indptr, m.indptr[1:])] + [[]]).astype(int)
+    return sp.csr_matrix((m.data[order], m.indices[order], m.indptr), shape=m.shape)
+
+
+def sorted_mask(m):
+    """The 0/1 matrix of ``m``'s stored entries, with sorted indices.
+
+    ``m`` itself is left as it is: scipy's ``!=`` sorts its operand in place.
+    """
+    mask = (m.copy() != 0).astype(float)
+    mask.sort_indices()
+    return mask
+
+
 @st.composite
 def product_operands(draw):
-    """(a, b, mask): incidence counts 0-3, weight rows that may be all zero."""
-    n, m, k = draw(st.integers(0, 9)), draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    """(a, b, prev, masked): incidence counts 0-3, rows of b and prev that may be
+    empty, prev's indices sorted or not (a stalled row's fallback unsorts them)."""
+    n, m, k = draw(st.integers(0, 9)), draw(st.integers(0, 7)), draw(st.integers(1, 6))
 
     def matrix(rows, cols, values):
         cells = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
@@ -84,47 +126,214 @@ def product_operands(draw):
 
     a = matrix(n, m, st.sampled_from([0, 0, 1, 1, 2, 3]))
     b = matrix(m, k, st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
-    mask = matrix(n, k, st.sampled_from([0, 1])) if draw(st.booleans()) else None
-    return a, b, mask
+    prev = matrix(n, k, st.sampled_from([0, 0.5, 1]))
+    if draw(st.booleans()):
+        prev = reversed_rows(prev)
+    return a, b, prev, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(product_operands())
 def test_matmul_equals_sparse_product_bit_for_bit(operands):
-    a, b, mask = operands
-    expected = sparse_product(a, b, mask)
+    # the block kernels against scipy's products: _accumulate's dense rows are
+    # the normalized a @ b, _propagate's rows the normalized product masked by
+    # prev's support (or not), with stalled rows taken from prev
+    a, b, prev, masked = operands
     k = b.shape[1]
+    refs, _ = scipy_row_normalize(sparse_product(a, b))
+    rows, zero = scipy_row_normalize(sparse_product(a, b, sorted_mask(prev) if masked
+                                                    else None))
+    if zero.any():
+        rows = (rows + sp.diags(zero.astype(float)) @ prev).tocsr()
     for budget in (1, 2, k, engine._PRODUCT_BLOCK_ENTRIES):
         with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
-            out = _matmul(a, b, mask)
-        assert out.shape == expected.shape
+            blocks = _row_blocks(a, k)
+            dense = np.empty((a.shape[0], k))
+            _accumulate(blocks, b.toarray(), dense)
+            out, stalled = _propagate(blocks, b.toarray(), prev, masked)
+        assert np.array_equal(dense, refs.toarray())
+        assert np.array_equal(stalled, zero)
+        assert out.shape == rows.shape
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(out, part), getattr(expected, part)), part
+            assert np.array_equal(getattr(out, part), getattr(rows, part)), part
+
+
+def reference_run(corpus, config):
+    """run()'s loop as scipy sparse products, with ``frozen + embed @ w_new`` re-embedding.
+
+    Returns (JL rows, residual trace, JL stalled, U1 rows, total stalled).
+    """
+    incidence, w0, ref_counts = corpus.matrices()
+    n = len(corpus.paper_ids)
+    rows, _, _ = eligible_rows(corpus, config.min_refs)
+    in_scope = np.zeros(n, dtype=bool)
+    in_scope[rows] = True
+    scale = None
+    if config.fractional:
+        counts = ref_counts.astype(float)
+        scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
+    if not config.include_ineligible_citers:
+        scale = in_scope * (1.0 if scale is None else scale)
+    embed = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                          shape=(n, len(rows)))
+    frozen = (sp.diags((~in_scope).astype(float)) @ w0).tocsr()
+    citations = incidence.T.tocsr()
+
+    def step(w_el, w_full, masked):
+        if scale is not None:
+            w_full = sp.csr_matrix(
+                (w_full.data * np.repeat(scale, np.diff(w_full.indptr)), w_full.indices,
+                 w_full.indptr), shape=w_full.shape)
+        refs, _ = scipy_row_normalize(sparse_product(citations, w_full))
+        mask = sorted_mask(w_el) if masked else None
+        w_new, zero = scipy_row_normalize(sparse_product(incidence[rows], refs, mask))
+        if zero.any():
+            w_new = (w_new + sp.diags(zero.astype(float)) @ w_el).tocsr()
+        return w_new, (frozen + embed @ w_new).tocsr(), int(zero.sum())
+
+    w_el, w_full = w0[rows].tocsr(), w0.tocsr()
+    trace, stalled = [], 0
+    for _ in range(config.max_iterations):
+        w_new, w_full, n_stalled = step(w_el, w_full, True)
+        stalled += n_stalled
+        diff = (w_new - w_el).tocsr()
+        trace.append(float(diff.multiply(diff).sum()))
+        w_el = w_new
+        if trace[-1] < config.effective_threshold(len(rows)):
+            break
+    jl, jl_stalled = w_el, stalled
+    for _ in range(config.unlimited_passes):
+        w_el, w_full, n_stalled = step(w_el, w_full, False)
+        stalled += n_stalled
+    for w in (jl, w_el):
+        w.sum_duplicates()
+        w.eliminate_zeros()
+    return jl, trace, jl_stalled, w_el, stalled
+
+
+def matrix_corpus(incidence, weights):
+    """A Corpus of papers p0.. and references r0.. from dense arrays.
+
+    ``weights`` rows are scaled to unit sum; an all-zero row becomes (1, 0, ...).
+    """
+    n, k = weights.shape
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return Corpus(
+        scheme=build_scheme([(1102 + c, 1100) for c in range(k)]), journals=(),
+        paper_ids=tuple(f"p{i}" for i in range(n)),
+        ref_ids=tuple(f"r{j}" for j in range(incidence.shape[1])),
+        paper_journal=np.zeros(n, dtype=np.intp), incidence=sp.csr_matrix(incidence),
+        initial=sp.csr_matrix(weights / weights.sum(axis=1, keepdims=True)),
+        ref_counts=incidence.sum(axis=1).astype(np.intp))
+
+
+@st.composite
+def engine_corpora(draw):
+    """Corpora of at most 8 papers, 6 references and 5 categories.
+
+    They hold papers with short or no reference lists (with min_refs 0 these
+    stall), references that no paper in scope cites, corpora without
+    references, and subnormal weights whose scaled or normalized terms round
+    to zero, so that a paper's support shrinks.
+    """
+    n, m, k = draw(st.integers(1, 8)), draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 1, 2]), min_size=n * m,
+                          max_size=n * m))
+    weight = st.one_of(st.just(0.0), st.just(0.0), st.sampled_from([5e-324, 1e-310]),
+                       st.floats(1e-3, 1.0))
+    weights = draw(st.lists(weight, min_size=n * k, max_size=n * k))
+    return matrix_corpus(np.array(cells, dtype=float).reshape(n, m),
+                         np.array(weights).reshape(n, k))
+
+
+ENGINE_CONFIGS = st.builds(
+    EngineConfig, fractional=st.booleans(),
+    convergence_threshold=st.sampled_from([1e-30, 1e-4, 0.1]),
+    per_paper_threshold=st.none(), max_iterations=st.integers(1, 4),
+    min_refs=st.integers(0, 3), include_ineligible_citers=st.booleans(),
+    unlimited_passes=st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=engine_corpora(), config=ENGINE_CONFIGS,
+       budget=st.sampled_from([1, 2, engine._PRODUCT_BLOCK_ENTRIES]))
+def test_run_equals_sparse_step_composition_bit_for_bit(corpus, config, budget):
+    with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
+        if not (corpus.ref_counts >= config.min_refs).any():
+            with pytest.raises(EngineError, match="no eligible papers"):
+                run(corpus, config)
+            return
+        jl, u1 = run(corpus, config)
+    jl_rows, trace, jl_stalled, u1_rows, stalled = reference_run(corpus, config)
+    for c, rows in ((jl, jl_rows), (u1, u1_rows)):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(c.weights, part), getattr(rows, part)), part
+        assert c.residual_trace == trace
+    assert (jl.stalled, u1.stalled) == (jl_stalled, stalled)
+
+
+def test_weight_that_rounds_to_zero_leaves_the_citing_vector():
+    # p1's 5e-324 on category 3 halves to zero in its JL step, so that entry
+    # leaves its support; the U1 passes must no longer see it through the
+    # references p1 cites
+    incidence = np.zeros((7, 4))
+    incidence[1, 2:] = (1, 2)
+    incidence[5:, 3] = 1
+    weights = np.zeros((7, 5))
+    weights[:, 0] = 1.0
+    weights[1] = (0, 0, 0, 5e-324, 1)
+    corpus = matrix_corpus(incidence, weights)
+    config = EngineConfig(convergence_threshold=1e-30, per_paper_threshold=None,
+                          max_iterations=1, min_refs=0, unlimited_passes=2)
+    jl, u1 = run(corpus, config)
+    assert jl.vectors["p1"] == {4: 1.0}
+    _, _, _, u1_rows, _ = reference_run(corpus, config)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(u1.weights, part), getattr(u1_rows, part)), part
+
+
+def test_rows_after_a_stall_are_summed_in_column_order():
+    # p2 and p3 cite nothing and stall, and the fallback to their previous
+    # rows leaves every row's indices unsorted; the next step must still add
+    # p1's masked terms in column order: (0.5556 + 0.0556) + 0.0556
+    incidence = np.zeros((5, 4))
+    incidence[[0, 1, 4], 3] = 1
+    weights = np.array([[0, 1, 0, 0, 0], [0, 1, 1, 1, 0], [1, 0, 0, 0, 0],
+                        [0, 0, 0, 1, 1], [1, 0, 0, 0, 0]], dtype=float)
+    corpus = matrix_corpus(incidence, weights)
+    config = EngineConfig(convergence_threshold=1e-30, per_paper_threshold=None,
+                          max_iterations=2, min_refs=0)
+    jl, _ = run(corpus, config)
+    assert jl.stalled == 4
+    assert jl.vectors["p1"][1] == float.fromhex("0x1.aaaaaaaaaaaabp-1")
+    jl_rows, trace, _, _, _ = reference_run(corpus, config)
+    assert np.array_equal(jl.weights.data, jl_rows.data)
+    assert jl.residual_trace == trace
 
 
 class TestAccumulate:
-    """_accumulate_matrix: references x categories from citing-paper rows."""
+    """_accumulate: references x categories from citing-paper rows."""
 
     def test_single_citer_fixed_point(self):
         # p1 (1, 0) cites r1
-        refs = _accumulate_matrix(csr([[1]]).T.tocsr(), csr([[1, 0]]))
+        refs = accumulate(csr([[1]]).T.tocsr(), csr([[1, 0]]))
         assert row_vectors(refs) == [{0: 1.0}]
 
     def test_symmetric_citers(self):
         # p1 (1, 0) and p2 (0, 1) both cite r1
-        refs = _accumulate_matrix(csr([[1], [1]]).T.tocsr(), csr([[1, 0], [0, 1]]))
+        refs = accumulate(csr([[1], [1]]).T.tocsr(), csr([[1, 0], [0, 1]]))
         approx_vec(row_vectors(refs)[0], {0: 0.5, 1: 0.5})
 
     def test_fractional_divides_by_ref_count(self):
         # A: (1,0) with 1 ref; B: (0,1) with 4 refs -> (1, 0.25) -> (0.8, 0.2)
         incidence = csr([[1, 0, 0, 0], [1, 1, 1, 1]])
-        refs = _accumulate_matrix(incidence.T.tocsr(), csr([[1, 0], [0, 1]]),
-                                  np.array([1.0, 0.25]))
+        refs = accumulate(incidence.T.tocsr(), csr([[1, 0], [0, 1]]),
+                          np.array([1.0, 0.25]))
         approx_vec(row_vectors(refs)[0], {0: 0.8, 1: 0.2})
 
     def test_out_of_scope_reference_absent(self):
         # only p1 (citing r1) is in scope; r2 gets no weight at all
-        refs = _accumulate_matrix(csr([[1, 0]]).T.tocsr(), csr([[1, 0]]))
+        refs = accumulate(csr([[1, 0]]).T.tocsr(), csr([[1, 0]]))
         assert row_vectors(refs) == [{0: 1.0}, {}]
 
 
@@ -141,48 +350,48 @@ class TestAccumulate:
         for row_scale in (np.ones(len(corpus)), inv):
             in_scope = np.zeros(len(corpus))
             in_scope[scope] = row_scale[scope]
-            kept = _accumulate_matrix(corpus.citations, w0, in_scope)
-            dropped = _accumulate_matrix(incidence[scope].T.tocsr(), w0[scope],
-                                         row_scale[scope])
+            kept = accumulate(corpus.citations, w0, in_scope)
+            dropped = accumulate(incidence[scope].T.tocsr(), w0[scope],
+                                 row_scale[scope])
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(kept, part), getattr(dropped, part))
 
 
 class TestPropagate:
-    """_propagate_matrix: paper rows from cited reference rows."""
+    """_propagate: paper rows from cited reference rows."""
 
     def test_singleton_support_forces_fixed_point(self):
-        out, zero = _propagate_matrix(csr([[1, 1]]), csr([[0, 1, 0], [0.5, 0, 0.5]]),
-                                      csr([[1, 0, 0]]), mask=csr([[1, 0, 0]]))
+        out, zero = propagate(csr([[1, 1]]), csr([[0, 1, 0], [0.5, 0, 0.5]]),
+                              csr([[1, 0, 0]]), masked=True)
         assert row_vectors(out) == [{0: 1.0}]
         assert not zero.any()
 
     def test_masked_sum_renormalizes(self):
         # support {c0,c1}; refs (c0:0.5, c2:0.5) and (c1:1.0) -> (1/3, 2/3)
-        out, _ = _propagate_matrix(csr([[1, 1]]), csr([[0.5, 0, 0.5], [0, 1, 0]]),
-                                   csr([[0.5, 0.5, 0]]), mask=csr([[1, 1, 0]]))
+        out, _ = propagate(csr([[1, 1]]), csr([[0.5, 0, 0.5], [0, 1, 0]]),
+                           csr([[0.5, 0.5, 0]]), masked=True)
         approx_vec(row_vectors(out)[0], {0: 1 / 3, 1: 2 / 3})
 
     def test_disjoint_support_stalls_and_keeps_previous(self):
-        out, zero = _propagate_matrix(csr([[1]]), csr([[0, 0, 1]]),
-                                      csr([[1, 0, 0]]), mask=csr([[1, 0, 0]]))
+        out, zero = propagate(csr([[1]]), csr([[0, 0, 1]]), csr([[1, 0, 0]]),
+                              masked=True)
         assert row_vectors(out) == [{0: 1.0}]
         assert zero.tolist() == [True]
 
     def test_unlimited_single_ref(self):
-        out, _ = _propagate_matrix(csr([[1]]), csr([[0, 0.25, 0.75]]), csr([[1, 0, 0]]))
+        out, _ = propagate(csr([[1]]), csr([[0, 0.25, 0.75]]), csr([[1, 0, 0]]))
         approx_vec(row_vectors(out)[0], {1: 0.25, 2: 0.75})
 
     def test_unlimited_symmetric_pair(self):
-        out, _ = _propagate_matrix(csr([[1, 1]]), csr([[1, 0, 0], [0, 1, 0]]),
-                                   csr([[1, 0, 0]]))
+        out, _ = propagate(csr([[1, 1]]), csr([[1, 0, 0], [0, 1, 0]]),
+                           csr([[1, 0, 0]]))
         approx_vec(row_vectors(out)[0], {0: 0.5, 1: 0.5})
 
     def test_unlimited_three_refs(self):
         # (0.5,0.5,0)+(1,0,0)+(0,0,1) = (1.5,0.5,1) -> (0.5, 1/6, 1/3)
-        out, _ = _propagate_matrix(csr([[1, 1, 1]]),
-                                   csr([[0.5, 0.5, 0], [1, 0, 0], [0, 0, 1]]),
-                                   csr([[1, 0, 0]]))
+        out, _ = propagate(csr([[1, 1, 1]]),
+                           csr([[0.5, 0.5, 0], [1, 0, 0], [0, 0, 1]]),
+                           csr([[1, 0, 0]]))
         approx_vec(row_vectors(out)[0], {0: 0.5, 1: 1 / 6, 2: 1 / 3})
 
 
@@ -225,7 +434,7 @@ class TestRun:
         assert "p2" not in jl.vectors
         assert jl.unreclassified == frozenset({"p2"})
         incidence, w0, _ = corpus.matrices()
-        refs = _accumulate_matrix(incidence.T.tocsr(), w0)
+        refs = accumulate(incidence.T.tocsr(), w0)
         r1 = corpus.ref_ids.index("r1")
         assert refs[r1, 1] > 0  # the short paper still contributed to r1
 

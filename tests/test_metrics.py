@@ -10,6 +10,7 @@ from refclass.metrics import (area_aggregate, area_flow, assignment_histogram,
                               coincidence_percentage, granularity,
                               rank_metrics, refs_per_paper_acv,
                               same_area_retention, size_cv)
+from refclass.report import write_report
 
 from conftest import build_corpus, build_scheme
 
@@ -243,3 +244,16 @@ class TestRetention:
 
 def test_formula_versions_declared():
     assert set(metrics.FORMULA_VERSIONS) == {"coincidence", "prune", "area_flow"}
+
+
+class TestWriteReport:
+    def test_flow_tables_from_the_origin(self, tmp_path):
+        cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"p": {3: 1.0}})}
+        written = write_report(tmp_path, cs, SCHEME, origin="a")
+        assert "flow_a_to_b.csv" in written
+
+    def test_unknown_origin_is_an_error(self, tmp_path):
+        cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"p": {3: 1.0}})}
+        with pytest.raises(ValueError, match="origin 'typo' is not one of"):
+            write_report(tmp_path / "report", cs, SCHEME, origin="typo")
+        assert not (tmp_path / "report").exists()

@@ -1,8 +1,14 @@
+import csv
 import io
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from refclass import scheme as scheme_module
 
 from refclass.scheme import (Category, CategoryScheme, JournalAssignment,
                              SchemeError, fractionalize_journal, load_scheme,
@@ -42,6 +48,20 @@ class TestLoadScheme:
     def test_empty_table_rejected(self):
         with pytest.raises(SchemeError):
             load_scheme(make_table("code,area_code,kind\n"))
+
+    @pytest.mark.parametrize("body, where, message", [
+        ("", "", "empty scheme table"),
+        ("1101,1100,misc\n1000,1000,multidisciplinary\n", "",
+         "scheme has no regular categories"),
+        ("1102,1100,regular\n1001,1000,misc\n", ", line 3",
+         "miscellaneous code 1001 belongs to area 1000 with no regular categories"),
+    ])
+    def test_table_level_error_names_the_file(self, tmp_path, body, where, message):
+        path = tmp_path / "scheme.csv"
+        path.write_text("code,area_code,kind\n" + body)
+        with pytest.raises(SchemeError) as err:
+            load_scheme(path)
+        assert str(err.value) == f"{path}{where}: {message}"
 
     def test_canonical_order_is_ascending_code(self):
         scheme = load_scheme(make_table(
@@ -134,3 +154,145 @@ class TestProperties:
         ja = JournalAssignment("j", tuple((c, 1.0) for c in codes))
         vec = fractionalize_journal(ja, MISC_SCHEME)
         assert {MISC_SCHEME.code_of(i) for i in vec} == set(codes)
+
+
+# ---------------------------------------------------------------------------
+# load_scheme against a plain reading of generated tables
+
+KINDS = ("regular", "Regular", "REGULAR")
+
+
+@st.composite
+def scheme_tables(draw):
+    """A scheme table as text and its rows as (line, code text, area text, kind).
+
+    Areas 10-12 hold regular codes area * 100 + 2..9, misc codes area * 100 + 1
+    and the multidisciplinary code 1000.  At most one defect is planted: a
+    malformed field, an unknown kind, a repeated code, a second misc code of
+    an area or a second multidisciplinary row, a misc code of an area without
+    regular categories, a row too short to reach a column, no rows, or no
+    regular rows.
+    """
+    areas = draw(st.lists(st.sampled_from([10, 11, 12]), min_size=1, max_size=3,
+                          unique=True))
+    regular = draw(st.lists(st.tuples(st.sampled_from(areas), st.integers(2, 9)),
+                            min_size=1, max_size=6, unique=True))
+    rows = [(str(a * 100 + j), str(a * 100), draw(st.sampled_from(KINDS)))
+            for a, j in regular]
+    used = sorted({a for a, _ in regular})
+    for a in draw(st.lists(st.sampled_from(used), unique=True)):
+        rows.append((str(a * 100 + 1), str(a * 100), draw(st.sampled_from(("misc", "Misc")))))
+    if draw(st.booleans()):
+        rows.append(("1000", "1000", "multidisciplinary"))
+    defect = draw(st.sampled_from((None, None, "code", "area", "kind", "repeat",
+                                   "misc", "multi", "lonely misc", "short", "empty",
+                                   "no regular")))
+    if defect == "code":
+        rows.append((draw(st.sampled_from(("x1102", "11.02", ""))), "1100", "regular"))
+    elif defect == "area":
+        rows.append(("1109", draw(st.sampled_from(("x", "1.1e3", ""))), "regular"))
+    elif defect == "kind":
+        rows.append(("1109", "1100", draw(st.sampled_from(("other", "", "misc-ish")))))
+    elif defect == "repeat":
+        rows.append((draw(st.sampled_from(rows))[0], "1100", "regular"))
+    elif defect == "misc":
+        rows.append((str(used[0] * 100 + 10), str(used[0] * 100), "misc"))
+    elif defect == "multi":
+        rows.append(("999", "1000", "multidisciplinary"))
+    elif defect == "lonely misc":
+        rows.append(("1301", "1300", "misc"))
+    elif defect == "empty":
+        rows = []
+    elif defect == "no regular":
+        rows = [row for row in rows if row[2].lower() != "regular"] or [
+            ("1000", "1000", "multidisciplinary")]
+    rows = draw(st.permutations(rows))
+    columns = ["code", "area_code", "kind"]
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, 3)), "note")
+    columns = draw(st.permutations(columns))
+    need = max(columns.index(c) for c in ("code", "area_code", "kind"))
+    short = draw(st.integers(0, len(rows) - 1)) if defect == "short" and rows else None
+    delimiter = draw(st.sampled_from((",", ";")))
+
+    def line(values):
+        out = io.StringIO()
+        csv.writer(out, delimiter=delimiter, lineterminator="").writerow(values)
+        return out.getvalue()
+
+    lines, numbered = [line(columns)], []
+    for i, (code, area, kind) in enumerate(rows):
+        values = {"code": code, "area_code": area, "kind": kind, "note": "n, b"}
+        fields = [values[c] for c in columns]
+        if i == short:
+            fields = fields[:need]
+        lines.append(line(fields))
+        numbered.append((len(lines), code, area, kind, i == short))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    bom = draw(st.sampled_from(("", "\ufeff")))
+    return bom + ending.join(lines) + ending, numbered
+
+
+def plain_scheme(rows):
+    """(line or None, words of the error) for a rejected table, else
+    (categories, misc codes, multidisciplinary code)."""
+    short = [line for line, *_, is_short in rows if is_short]
+    if short:
+        return short[0], "too few"
+    seen, categories, misc, misc_line, multi = set(), [], {}, {}, None
+    for line, code_text, area_text, kind, _ in rows:
+        try:
+            code, area = int(code_text), int(area_text)
+        except ValueError:
+            return line, "malformed scheme row"
+        if code in seen:
+            return line, "duplicate code"
+        seen.add(code)
+        kind = kind.lower()
+        if kind == "regular":
+            categories.append(Category(code, area))
+        elif kind == "misc":
+            if area in misc:
+                return line, "two miscellaneous codes"
+            misc[area], misc_line[area] = code, line
+        elif kind == "multidisciplinary":
+            if multi is not None:
+                return line, "multiple multidisciplinary rows"
+            multi = code
+        else:
+            return line, "unknown kind"
+    if not seen:
+        return None, "empty scheme table"
+    if not categories:
+        return None, "no regular categories"
+    for area, code in misc.items():
+        if area not in {c.area_code for c in categories}:
+            return misc_line[area], f"miscellaneous code {code} belongs to area {area}"
+    return tuple(sorted(categories, key=lambda c: c.code)), misc, multi
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=scheme_tables(), chunk_rows=st.integers(1, 4),
+       as_file=st.booleans())
+def test_load_scheme_matches_plain_reading(table, chunk_rows, as_file):
+    text, rows = table
+    expected = plain_scheme(rows)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(scheme_module, "CHUNK_ROWS", chunk_rows):
+        path = Path(tmp) / "scheme.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as fh:
+            source = fh if as_file else path
+            if len(expected) == 2:
+                line, words = expected
+                with pytest.raises(SchemeError) as err:
+                    load_scheme(source)
+                where = f"{path}, line {line}: " if line else f"{path}: "
+                assert str(err.value).startswith(where)
+                assert words in str(err.value)
+                return
+            scheme = load_scheme(source)
+    assert (scheme.categories, scheme.misc_codes, scheme.multidisciplinary_code) \
+        == expected
