@@ -3,7 +3,7 @@
 Entries are ranked by descending weight (ties by ascending category code,
 which equals ascending index in the canonical order).  The top entry is
 always kept; each further entry survives only while its weight is at least
-threshold times the previous kept weight and the cap of max_categories is
+threshold times the previous kept weight and the cap of MAX_CATEGORIES is
 not exceeded.  Kept weights are renormalized to sum 1.
 """
 
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .engine import Classification, row_fsums, weight_order
 
 DEFAULT_THRESHOLDS = (0.5, 0.67, 0.8)
-DEFAULT_MAX_CATEGORIES = 5
+MAX_CATEGORIES = 5
 
 # Relative slack on the ratio test so that renormalization rounding cannot
 # flip a pair sitting exactly on the threshold; keeps pruning idempotent.
@@ -28,13 +28,10 @@ _RATIO_EPS = 1e-12
 @dataclass(frozen=True)
 class PruneConfig:
     threshold: float
-    max_categories: int = DEFAULT_MAX_CATEGORIES
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.max_categories < 1:
-            raise ValueError("max_categories must be >= 1")
 
     @property
     def label(self) -> str:
@@ -54,7 +51,7 @@ def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
     passes = np.empty(len(w), dtype=bool)
     passes[1:] = w[1:] >= (config.threshold * w[:-1]) * (1.0 - _RATIO_EPS)
     passes[starts] = True
-    passes &= np.arange(len(w)) - np.repeat(starts, counts) < config.max_categories
+    passes &= np.arange(len(w)) - np.repeat(starts, counts) < MAX_CATEGORIES
     failed = np.cumsum(~passes)
     keep = failed == np.repeat(failed[starts], counts)
 

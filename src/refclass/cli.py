@@ -11,7 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 import time
@@ -72,24 +71,33 @@ def _engine_config(args, fractional: bool) -> EngineConfig:
     )
 
 
-def _corpus_paths(args):
-    if getattr(args, "dir", None):
-        base = Path(args.dir)
-        return (base / "papers.csv", base / "journals.csv",
-                base / "references.csv", base / "scheme.csv")
-    for name in ("papers", "journals", "refs", "scheme"):
-        if getattr(args, name, None) is None:
-            raise CliError(f"--{name} required (or use --dir)")
-    return args.papers, args.journals, args.refs, args.scheme
+def _load_corpus(base: Path, scheme):
+    """The corpus of the papers, journals and references tables in ``base``."""
+    return load_corpus(base / "papers.csv", base / "journals.csv",
+                       base / "references.csv", scheme)
+
+
+def _load_dir(args):
+    """The scheme and the corpus of the tables in ``--dir``."""
+    if not args.dir:
+        raise CliError("--dir required")
+    scheme = load_scheme(Path(args.dir) / "scheme.csv")
+    return scheme, _load_corpus(Path(args.dir), scheme)
 
 
 def _named_paths(items, flag: str, taken=frozenset()) -> dict[str, str]:
-    """NAME=PATH items -> {NAME: PATH}; a NAME may neither repeat nor be in ``taken``."""
+    """NAME=PATH items -> {NAME: PATH}; a NAME may neither repeat nor be in ``taken``.
+
+    A NAME becomes a report column and part of a file name, so it must be
+    non-empty and hold none of , " / \\.
+    """
     out = {}
     for item in items:
         name, _, path = item.partition("=")
-        if not path:
+        if not name or not path:
             raise CliError(f"{flag} expects NAME=PATH, got {item!r}")
+        if any(c in name for c in ',"/\\'):
+            raise CliError(f"{flag} name {name!r} holds one of , \" / \\")
         if name in out or name in taken:
             raise CliError(f"{flag} name {name!r} is already in use")
         out[name] = path
@@ -138,9 +146,7 @@ def cmd_run(args) -> int:
             raise CliError(f"variants {labels[label]!r} and {token!r} both name {label}")
         labels[label] = token
     compare = _named_paths(args.compare or [], "--compare", labels.keys() | {"initial"})
-    papers_path, journals_path, refs_path, scheme_path = _corpus_paths(args)
-    scheme = load_scheme(scheme_path)
-    corpus = load_corpus(papers_path, journals_path, refs_path, scheme)
+    scheme, corpus = _load_dir(args)
     comparisons = _read_classifications(compare, scheme, corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,9 +200,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    papers_path, journals_path, refs_path, scheme_path = _corpus_paths(args)
-    scheme = load_scheme(scheme_path)
-    corpus = load_corpus(papers_path, journals_path, refs_path, scheme)
+    scheme, corpus = _load_dir(args)
     worst = 0.0
     for fractional in (False, True):
         config = _engine_config(args, fractional)
@@ -225,11 +229,7 @@ def cmd_metrics(args) -> int:
     if args.origin is not None and args.origin not in paths:
         raise CliError(f"--origin {args.origin!r} is not a --classification name")
     scheme = load_scheme(args.scheme)
-    corpus = None
-    if args.corpus_dir:
-        base = Path(args.corpus_dir)
-        corpus = load_corpus(base / "papers.csv", base / "journals.csv",
-                             base / "references.csv", scheme)
+    corpus = _load_corpus(Path(args.corpus_dir), scheme) if args.corpus_dir else None
     classifications = _read_classifications(paths, scheme, corpus)
     write_report(args.out, classifications, scheme, corpus=corpus,
                  origin=args.origin)
@@ -237,15 +237,9 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _add_corpus_args(p):
+def _add_run_args(p):
+    """The flags ``run`` and ``oracle`` share: the corpus directory and the engine's."""
     p.add_argument("--dir", help="directory with papers/journals/references/scheme.csv")
-    p.add_argument("--papers")
-    p.add_argument("--journals")
-    p.add_argument("--refs")
-    p.add_argument("--scheme")
-
-
-def _add_engine_args(p):
     p.add_argument("--threads", type=int, default=1,
                    help="deprecated; has no effect")
     p.add_argument("--min-refs", type=int, default=DEFAULT_MIN_REFS)
@@ -268,8 +262,7 @@ def build_parser(run_defaults=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: propagate, prune, report")
     p.add_argument("--config", help="JSON file with defaults for any flag")
-    _add_corpus_args(p)
-    _add_engine_args(p)
+    _add_run_args(p)
     p.add_argument("--out", help="output directory (required here or in --config)")
     p.add_argument("--variants",
                    help="comma list like JL-F-0.8,U1-NF-raw (default: all 12)")
@@ -293,8 +286,7 @@ def build_parser(run_defaults=None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("oracle", help="engine vs dense reference cross-check")
-    _add_corpus_args(p)
-    _add_engine_args(p)
+    _add_run_args(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("metrics", help="metrics over existing classification files")
@@ -330,11 +322,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    # glibc's sliding mmap/trim thresholds unmapped the engine's freed multi-MiB
-    # temporaries on a share of iterations that varied from run to run; pin them
-    if hasattr(libc := ctypes.CDLL(None) if sys.platform == "linux" else None, "mallopt"):
-        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap-serve blocks up to 32 MiB
-        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep 64 MiB of freed heap mapped
     try:
         args = parse_args(argv)
         if getattr(args, "threads", 1) != 1:

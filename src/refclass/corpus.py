@@ -102,8 +102,7 @@ def misc_exclusive_papers(corpus: Corpus) -> np.ndarray:
     return journal_area[corpus.paper_journal]
 
 
-def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
-                delimiter: str | None = None) -> Corpus:
+def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme) -> Corpus:
     """Load a corpus from the three delimited tables.
 
     journals(journal_id, code[, degree]) - one row per raw assignment;
@@ -111,12 +110,12 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
     Duplicate (paper, reference) rows are kept as distinct slots.  A row
     that breaks a rule raises CorpusError naming the file and line.
     """
-    journals, journal_weights = _read_journals(journals_path, scheme, delimiter)
+    journals, journal_weights = _read_journals(journals_path, scheme)
     paper_code, paper_journal = _read_papers(
-        papers_path, {ja.journal_id: j for j, ja in enumerate(journals)}, delimiter)
+        papers_path, {ja.journal_id: j for j, ja in enumerate(journals)})
     if not paper_code:
         raise CorpusError("empty corpus")
-    ref_code, slot_papers, slot_refs = _read_references(refs_path, paper_code, delimiter)
+    ref_code, slot_papers, slot_refs = _read_references(refs_path, paper_code)
 
     paper_ids, paper_rank = _sorted_codes(paper_code)
     ref_ids, ref_rank = _sorted_codes(ref_code)
@@ -133,11 +132,10 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme,
         ref_counts=np.bincount(rows, minlength=len(paper_ids)))
 
 
-def _read_journals(path, scheme: CategoryScheme, delimiter):
+def _read_journals(path, scheme: CategoryScheme):
     """The journal assignments in table order and their weights, journals x categories."""
     raw: dict[str, list[tuple[int, float]]] = {}
-    for chunk in read_table(path, ("journal_id", "code"), ("degree",), delimiter,
-                            CorpusError):
+    for chunk in read_table(path, ("journal_id", "code"), ("degree",), CorpusError):
         cols = chunk.columns
         for i, (jid, code, degree) in enumerate(
                 zip(cols["journal_id"], cols["code"], cols["degree"])):
@@ -160,11 +158,11 @@ def _read_journals(path, scheme: CategoryScheme, delimiter):
     return journals, weights
 
 
-def _read_papers(path, journal_code: dict[str, int], delimiter):
+def _read_papers(path, journal_code: dict[str, int]):
     """Paper id -> code in table order, and each paper's journal index in that order."""
     paper_code: dict[str, int] = {}
     journal_chunks = [np.empty(0, dtype=np.intp)]
-    for chunk in read_table(path, ("paper_id", "journal_id"), (), delimiter, CorpusError):
+    for chunk in read_table(path, ("paper_id", "journal_id"), (), CorpusError):
         pids, jids = chunk.columns["paper_id"], chunk.columns["journal_id"]
         journal = np.fromiter(map(journal_code.get, jids, repeat(-1)), np.intp, len(jids))
         if ((journal < 0).any() or len(set(pids)) < len(pids)
@@ -181,12 +179,12 @@ def _read_papers(path, journal_code: dict[str, int], delimiter):
     return paper_code, np.concatenate(journal_chunks)
 
 
-def _read_references(path, paper_code: dict[str, int], delimiter):
+def _read_references(path, paper_code: dict[str, int]):
     """Reference id -> code, plus the paper code and reference code of every slot."""
     ref_code: dict[str, int] = {}
     paper_chunks = [np.empty(0, dtype=np.intp)]
     ref_chunks = [np.empty(0, dtype=np.intp)]
-    for chunk in read_table(path, ("paper_id", "reference_id"), (), delimiter, CorpusError):
+    for chunk in read_table(path, ("paper_id", "reference_id"), (), CorpusError):
         pids, rids = chunk.columns["paper_id"], chunk.columns["reference_id"]
         papers = np.fromiter(map(paper_code.get, pids, repeat(-1)), np.intp, len(pids))
         unknown = np.flatnonzero(papers < 0)

@@ -20,6 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +58,7 @@ class EngineConfig:
     max_iterations: int = 50
     min_refs: int = DEFAULT_MIN_REFS
     include_ineligible_citers: bool = True
-    unlimited_passes: int = 1
+    unlimited_passes: ClassVar[int] = 1  # the U1 passes after the JL loop; not a setting
 
     def __post_init__(self):
         if (self.convergence_threshold is None) == (self.per_paper_threshold is None):
@@ -65,12 +66,12 @@ class EngineConfig:
                 "exactly one of convergence_threshold / per_paper_threshold must be set")
         active = (self.convergence_threshold
                   if self.convergence_threshold is not None else self.per_paper_threshold)
-        if active <= 0:
-            raise EngineError("convergence threshold must be positive")
+        if not (math.isfinite(active) and active > 0):
+            raise EngineError("convergence threshold must be positive and finite")
         if self.max_iterations < 1:
             raise EngineError("max_iterations must be >= 1")
-        if self.unlimited_passes < 1:
-            raise EngineError("unlimited_passes must be >= 1")
+        if self.min_refs < 0:
+            raise EngineError("min_refs must be >= 0")
 
     def effective_threshold(self, n_eligible: int) -> float:
         if self.convergence_threshold is not None:
@@ -287,7 +288,7 @@ def run(corpus: Corpus, config: EngineConfig):
     if config.fractional:
         scale = np.divide(1.0, ref_counts, out=np.zeros(len(scale)), where=ref_counts > 0)
     if not config.include_ineligible_citers:
-        scale[~np.isin(np.arange(len(scale)), elig_rows)] = 0.0
+        scale[ref_counts < config.min_refs] = 0.0
 
     # the loop's dense operands: every paper's current vector times its scale
     # (ineligible papers keep their journal vector) and the reference vectors
@@ -298,11 +299,14 @@ def run(corpus: Corpus, config: EngineConfig):
     paper_blocks = _row_blocks(incidence[elig_rows], k)
     row_offsets, elig_scale = elig_rows * k, scale[elig_rows]
 
-    def step(w_el, masked, embed=True):
-        """One accumulate -> propagate (-> re-embed) step: (new rows, stalled count)."""
+    def step(w_el, masked):
+        """One accumulate -> propagate step: (new rows, stalled count).
+
+        A masked (JL) step's rows replace ``w_el``'s in the citing weights.
+        """
         _accumulate(citing_blocks, scaled, refs)
         w_new, zero = _propagate(paper_blocks, refs, w_el, masked)
-        if embed:
+        if masked:
             flat = scaled.reshape(-1)
             flat[np.repeat(row_offsets, np.diff(w_el.indptr)) + w_el.indices] = 0.0
             counts = np.diff(w_new.indptr)
@@ -342,10 +346,8 @@ def run(corpus: Corpus, config: EngineConfig):
         )
 
     jl = classification("JL", w_el, stalled)
-    for left in reversed(range(config.unlimited_passes)):
-        w_el, n_stalled = step(w_el, False, embed=left > 0)
-        stalled += n_stalled
-    return jl, classification("U1", w_el, stalled)
+    u1, n_stalled = step(w_el, False)
+    return jl, classification("U1", u1, stalled + n_stalled)
 
 
 def _check_support(w, w0):
@@ -357,32 +359,31 @@ def _check_support(w, w0):
 # ---------------------------------------------------------------------------
 # classification table I/O
 
-def write_classification(c: Classification, scheme: CategoryScheme, path,
-                         delimiter: str = ",") -> None:
+def write_classification(c: Classification, scheme: CategoryScheme, path) -> None:
     """Write (paper_id, category_code, weight) rows plus a metadata sidecar.
 
     Rows are sorted by (paper_id, descending weight, ascending code) and
     floats use shortest round-trip formatting, so output is reproducible
-    byte for byte.  A paper id holding the delimiter or a double quote is
-    quoted csv-style; other ids are written as they are.
+    byte for byte.  A paper id holding a comma or a double quote is quoted
+    csv-style; other ids are written as they are.
     """
     path = Path(path)
     w, pids = c.weights, c.paper_ids
     joined = "".join(pids)
-    if delimiter in joined or '"' in joined:
-        pids = [_csv_field(pid, delimiter) for pid in pids]
+    if "," in joined or '"' in joined:
+        pids = list(map(_csv_field, pids))
     order = weight_order(w)
     codes = np.array([cat.code for cat in scheme.categories])[w.indices[order]]
     data = w.data[order]
     bounds = w.indptr
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(delimiter.join(("paper_id", "category_code", "weight")) + "\n")
+        fh.write("paper_id,category_code,weight\n")
         for start in range(0, len(pids), _WRITE_CHUNK_ROWS):
             stop = min(start + _WRITE_CHUNK_ROWS, len(pids))
             lo, hi = bounds[start], bounds[stop]
             rows = np.repeat(np.arange(start, stop), np.diff(bounds[start:stop + 1]))
             fh.writelines(
-                f"{pids[r]}{delimiter}{code}{delimiter}{wt!r}\n"
+                f"{pids[r]},{code},{wt!r}\n"
                 for r, code, wt in zip(rows.tolist(), codes[lo:hi].tolist(),
                                        data[lo:hi].tolist()))
     meta = {
@@ -398,8 +399,8 @@ def write_classification(c: Classification, scheme: CategoryScheme, path,
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _csv_field(text: str, delimiter: str) -> str:
-    if delimiter in text or '"' in text:
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -409,8 +410,8 @@ def sidecar_path(path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def read_classification(path, scheme: CategoryScheme, label: str | None = None,
-                        delimiter: str | None = None) -> Classification:
+def read_classification(path, scheme: CategoryScheme,
+                        label: str | None = None) -> Classification:
     """Read a classification table written by write_classification.
 
     Every row needs a category code of ``scheme`` and a positive finite
@@ -419,7 +420,7 @@ def read_classification(path, scheme: CategoryScheme, label: str | None = None,
     """
     pids, indices, weights, lines = [], [], [], []
     for chunk in read_table(path, ("paper_id", "category_code", "weight"), (),
-                            delimiter, CorpusError):
+                            CorpusError):
         cols = chunk.columns
         for i, (code_text, weight_text) in enumerate(zip(cols["category_code"],
                                                           cols["weight"])):

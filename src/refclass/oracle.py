@@ -87,10 +87,8 @@ def dense_run(corpus: Corpus, config: EngineConfig):
             break
     jl = w[eligible]
 
-    for _ in range(config.unlimited_passes):
-        omega = reference_vectors(w)
-        w = back_propagate(w, omega, masked=False)
-    return jl, w[eligible]
+    u1 = back_propagate(w, reference_vectors(w), masked=False)
+    return jl, u1[eligible]
 
 
 def max_component_difference(a: np.ndarray, b: np.ndarray) -> float:

@@ -125,7 +125,7 @@ class CategoryScheme:
         return code in self._misc_area
 
 
-def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
+def load_scheme(source) -> CategoryScheme:
     """Load a scheme from a delimited table with columns code, area_code, kind.
 
     ``kind`` is one of regular / misc / multidisciplinary.  ``source`` may be
@@ -139,7 +139,7 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
     misc_lines: dict[int, int] = {}
     multi_code = None
     seen: set[int] = set()
-    for chunk in read_table(source, ("code", "area_code", "kind"), (), delimiter):
+    for chunk in read_table(source, ("code", "area_code", "kind")):
         cols = chunk.columns
         for i, (code_text, area_text, kind) in enumerate(
                 zip(cols["code"], cols["area_code"], cols["kind"])):
@@ -180,7 +180,7 @@ def load_scheme(source, delimiter: str | None = None) -> CategoryScheme:
 def reference_scheme() -> CategoryScheme:
     """The bundled 285-category / 26-area reference scheme."""
     data = resources.files("refclass.data").joinpath("asjc_reference.csv").read_text()
-    return load_scheme(io.StringIO(data), delimiter=",")
+    return load_scheme(io.StringIO(data))
 
 
 def fractionalize_journal(
@@ -242,11 +242,11 @@ class TableChunk:
         return self._error_cls(f"{self.name}, line {self.lines[row]}: {message}")
 
 
-def read_table(source, required, optional=(), delimiter=None, error_cls=SchemeError):
+def read_table(source, required, optional=(), error_cls=SchemeError):
     """Stream a delimited table with a header row as TableChunks of CHUNK_ROWS rows.
 
-    ``source`` is a path or an open text file.  Without ``delimiter`` the
-    header line decides (the first of , ; tab | it contains, else comma).  A
+    ``source`` is a path or an open text file.  The header line decides the
+    delimiter (the first of , ; tab | it contains, else comma).  A
     leading UTF-8 byte order mark is dropped, blank rows are skipped and
     values are stripped.  Each chunk holds the ``required`` columns and the
     ``optional`` ones, which read as "" where the header or a row lacks them.
@@ -256,15 +256,14 @@ def read_table(source, required, optional=(), delimiter=None, error_cls=SchemeEr
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
-            yield from read_table(fh, required, optional, delimiter, error_cls)
+            yield from read_table(fh, required, optional, error_cls)
         return
     name = getattr(source, "name", "<table>")
-    if delimiter is None:
-        pos = source.tell() if hasattr(source, "tell") else None
-        sample = source.readline()
-        if pos is not None:
-            source.seek(pos)
-        delimiter = next((c for c in (",", ";", "\t", "|") if c in sample), ",")
+    pos = source.tell() if hasattr(source, "tell") else None
+    sample = source.readline()
+    if pos is not None:
+        source.seek(pos)
+    delimiter = next((c for c in (",", ";", "\t", "|") if c in sample), ",")
     reader = csv.reader(source, delimiter=delimiter)
 
     def rows(count):

@@ -151,6 +151,10 @@ class TestRun:
         (["--variants", "JL-F-0.8,U1-NF-1.5"], "threshold must be in (0, 1]"),
         (["--threshold", "0"], "convergence threshold must be positive"),
         (["--max-iterations", "0"], "max_iterations must be >= 1"),
+        (["--threshold", "nan"], "convergence threshold must be positive and finite"),
+        (["--threshold-mode", "absolute", "--threshold", "inf"],
+         "convergence threshold must be positive and finite"),
+        (["--min-refs", "-2"], "min_refs must be >= 0"),
     ])
     def test_bad_setting_fails_before_any_work(self, corpus_dir, tmp_path, capsys,
                                                monkeypatch, flags, message):
@@ -206,6 +210,29 @@ class TestRun:
                      "--compare", f"x={table}", "--compare", f"x={table}"]) == 1
         assert capsys.readouterr().err == "error: --compare name 'x' is already in use\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "x/y", "x\\y"])
+    def test_compare_name_that_breaks_the_report_is_an_error(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, one_paper_table, name):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "load_corpus", no_ingest)
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", "JL-F-0.8", "--compare", f"{name}={one_paper_table}"]) == 1
+        assert capsys.readouterr().err.startswith("error: --compare ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_tables_come_from_dir_only(self, corpus_dir, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, *out]) == 1
+        assert capsys.readouterr().err == "error: --dir required\n"
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit):
+            cli.parse_args([command, "--dir", str(corpus_dir),
+                            "--papers", str(corpus_dir / "papers.csv")])
 
     def test_does_not_mutate_inputs(self, corpus_dir, tmp_path):
         before = read_outputs(corpus_dir)
@@ -292,6 +319,16 @@ class TestMetricsCommand:
                      "--classification", f"x={table}", "--classification", f"x={table}",
                      "--out", str(tmp_path / "report")]) == 1
         assert "--classification name 'x' is already in use" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "x/y", "x\\y"])
+    def test_name_that_breaks_the_report_is_an_error(self, corpus_dir, tmp_path, capsys,
+                                                     one_paper_table, name):
+        report = tmp_path / "report"
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"{name}={one_paper_table}",
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err.startswith("error: --classification ")
+        assert not report.exists()
 
     def test_paper_ids_with_delimiter_or_quote_round_trip(self, corpus_dir, tmp_path):
         data = tmp_path / "data"

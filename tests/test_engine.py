@@ -49,6 +49,18 @@ class TestConfig:
         with pytest.raises(EngineError):
             EngineConfig(convergence_threshold=None, per_paper_threshold=None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_threshold_must_be_positive_and_finite(self, value):
+        with pytest.raises(EngineError, match="positive and finite"):
+            EngineConfig(per_paper_threshold=value)
+        with pytest.raises(EngineError, match="positive and finite"):
+            EngineConfig(convergence_threshold=value, per_paper_threshold=None)
+
+    def test_min_refs_must_not_be_negative(self):
+        with pytest.raises(EngineError, match="min_refs must be >= 0"):
+            EngineConfig(min_refs=-2)
+        assert EngineConfig(min_refs=0).min_refs == 0
+
 
 def csr(rows):
     return sp.csr_matrix(np.array(rows, dtype=float))
@@ -202,9 +214,8 @@ def reference_run(corpus, config):
         if trace[-1] < config.effective_threshold(len(rows)):
             break
     jl, jl_stalled = w_el, stalled
-    for _ in range(config.unlimited_passes):
-        w_el, w_full, n_stalled = step(w_el, w_full, False)
-        stalled += n_stalled
+    w_el, _, n_stalled = step(w_el, w_full, False)
+    stalled += n_stalled
     for w in (jl, w_el):
         w.sum_duplicates()
         w.eliminate_zeros()
@@ -250,8 +261,7 @@ ENGINE_CONFIGS = st.builds(
     EngineConfig, fractional=st.booleans(),
     convergence_threshold=st.sampled_from([1e-30, 1e-4, 0.1]),
     per_paper_threshold=st.none(), max_iterations=st.integers(1, 4),
-    min_refs=st.integers(0, 3), include_ineligible_citers=st.booleans(),
-    unlimited_passes=st.integers(1, 2))
+    min_refs=st.integers(0, 3), include_ineligible_citers=st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -273,20 +283,22 @@ def test_run_equals_sparse_step_composition_bit_for_bit(corpus, config, budget):
 
 
 def test_weight_that_rounds_to_zero_leaves_the_citing_vector():
-    # p1's 5e-324 on category 3 halves to zero in its JL step, so that entry
-    # leaves its support; the U1 passes must no longer see it through the
-    # references p1 cites
-    incidence = np.zeros((7, 4))
-    incidence[1, 2:] = (1, 2)
-    incidence[5:, 3] = 1
-    weights = np.zeros((7, 5))
+    # p0 and p4 cite r1, which halves p4's 5e-324 on category 2 to zero, so
+    # the JL step drops that entry from p4's support.  The U1 pass must no
+    # longer see it through r1: r1's new sum falls just short of 2, and a
+    # stale 5e-324 would survive the division by it
+    incidence = np.zeros((5, 2))
+    incidence[[0, 4], 1] = 1
+    weights = np.zeros((5, 5))
     weights[:, 0] = 1.0
-    weights[1] = (0, 0, 0, 5e-324, 1)
+    weights[0] = (0, 0, 0, 0, 1)
+    weights[4] = (0, 0, 5e-324, 2 / 3, 1 / 3)
     corpus = matrix_corpus(incidence, weights)
     config = EngineConfig(convergence_threshold=1e-30, per_paper_threshold=None,
-                          max_iterations=1, min_refs=0, unlimited_passes=2)
+                          max_iterations=1, min_refs=0)
     jl, u1 = run(corpus, config)
-    assert jl.vectors["p1"] == {4: 1.0}
+    assert jl.vectors["p4"].keys() == {3, 4}
+    assert u1.vectors["p4"].keys() == {3, 4}
     _, _, _, u1_rows, _ = reference_run(corpus, config)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(u1.weights, part), getattr(u1_rows, part)), part

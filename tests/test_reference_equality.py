@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from refclass.assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
+from refclass.assign import (DEFAULT_THRESHOLDS, MAX_CATEGORIES, PruneConfig,
+                             prune_classification)
 from refclass.engine import Classification
 from refclass.metrics import area_flow, coincidence_percentage, rank_metrics
 
@@ -35,7 +36,7 @@ def reference_prune(vector, config):
     ranked = sorted(vector.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [ranked[0]]
     for idx, w in ranked[1:]:
-        if len(kept) >= config.max_categories:
+        if len(kept) >= MAX_CATEGORIES:
             break
         if w >= config.threshold * kept[-1][1] * (1.0 - _RATIO_EPS):
             kept.append((idx, w))
@@ -131,9 +132,10 @@ def matrix(vecs):
 # ---------------------------------------------------------------------------
 # properties
 
-@given(paper_sets(), THRESHOLDS, st.integers(1, 6))
-def test_prune_equals_reference(vecs, t, cap):
-    config = PruneConfig(t, cap)
+@given(paper_sets(), THRESHOLDS)
+@example({"p0": dict.fromkeys(range(K), 0.125)}, 0.5)  # ties past the cap
+def test_prune_equals_reference(vecs, t):
+    config = PruneConfig(t)
     out = prune_classification(matrix(vecs), config)
     assert out.vectors == {p: reference_prune(v, config) for p, v in vecs.items()}
 
