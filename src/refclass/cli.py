@@ -237,23 +237,52 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _add_run_args(p):
+def _add_run_args(p) -> list[argparse.Action]:
     """The flags ``run`` and ``oracle`` share: the corpus directory and the engine's."""
-    p.add_argument("--dir", help="directory with papers/journals/references/scheme.csv")
-    p.add_argument("--threads", type=int, default=1,
-                   help="deprecated; has no effect")
-    p.add_argument("--min-refs", type=int, default=DEFAULT_MIN_REFS)
-    p.add_argument("--threshold-mode", choices=("absolute", "per-paper"),
-                   default="per-paper")
-    p.add_argument("--threshold", type=float,
-                   help="stopping value in the chosen mode")
-    p.add_argument("--max-iterations", type=int, default=50)
-    p.add_argument("--no-ineligible-citers", action="store_true",
-                   help="exclude short-reference papers from the citing scope")
+    return [
+        p.add_argument("--dir",
+                       help="directory with papers/journals/references/scheme.csv"),
+        p.add_argument("--threads", type=int, default=1, help="deprecated; has no effect"),
+        p.add_argument("--min-refs", type=int, default=DEFAULT_MIN_REFS),
+        p.add_argument("--threshold-mode", choices=("absolute", "per-paper"),
+                       default="per-paper"),
+        p.add_argument("--threshold", type=float,
+                       help="stopping value in the chosen mode"),
+        p.add_argument("--max-iterations", type=int, default=50),
+        p.add_argument("--no-ineligible-citers", action="store_true",
+                       help="exclude short-reference papers from the citing scope")]
 
 
-def build_parser(run_defaults=None) -> argparse.ArgumentParser:
-    """The CLI parser; ``run_defaults`` replaces defaults of ``run`` flags."""
+def _config_defaults(parser, flags, config: dict) -> dict:
+    """``config``'s values by flag, checked as on the command line (a switch takes true
+    or false, a list is one value per use); CliError names the key of a bad one."""
+    by_dest = {flag.dest: flag for flag in flags}
+    defaults = argparse.Namespace()
+    for key, value in config.items():
+        flag = by_dest.get(key.replace("-", "_"))
+        if flag is None:
+            raise CliError(f"unknown config key {key!r}")
+        if flag.nargs == 0:
+            if type(value) is not bool:
+                raise CliError(f"config key {key!r} takes true or false, not {value!r}")
+            setattr(defaults, flag.dest, value)
+            continue
+        for token in value if isinstance(value, list) else [value]:
+            try:
+                if type(token) not in ((str, int, float) if flag.type else (str,)):
+                    raise ValueError
+                token = (flag.type or str)(str(token))
+                if token not in (flag.choices or [token]):
+                    raise ValueError
+            except ValueError:
+                raise CliError(f"config key {key!r}: {flag.option_strings[0]} "
+                               f"does not take {token!r}") from None
+            flag(parser, defaults, token)
+    return vars(defaults)
+
+
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The CLI parser; the values of ``config`` replace defaults of ``run`` flags."""
     parser = argparse.ArgumentParser(
         prog="refclass",
         description="Reference-based paper-by-paper subject classification")
@@ -262,13 +291,13 @@ def build_parser(run_defaults=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: propagate, prune, report")
     p.add_argument("--config", help="JSON file with defaults for any flag")
-    _add_run_args(p)
-    p.add_argument("--out", help="output directory (required here or in --config)")
-    p.add_argument("--variants",
-                   help="comma list like JL-F-0.8,U1-NF-raw (default: all 12)")
-    p.add_argument("--compare", action="append", metavar="NAME=PATH",
-                   help="external classification table to include in the report")
-    p.set_defaults(func=cmd_run, **(run_defaults or {}))
+    flags = _add_run_args(p) + [
+        p.add_argument("--out", help="output directory (required here or in --config)"),
+        p.add_argument("--variants",
+                       help="comma list like JL-F-0.8,U1-NF-raw (default: all 12)"),
+        p.add_argument("--compare", action="append", metavar="NAME=PATH",
+                       help="external classification table to include in the report")]
+    p.set_defaults(func=cmd_run, **_config_defaults(p, flags, config or {}))
 
     p = sub.add_parser("synth", help="generate a synthetic planted corpus")
     p.add_argument("--out", required=True)
@@ -310,15 +339,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    flags = set(vars(args)) - {"command", "func", "config"}
-    defaults = {}
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if attr not in flags:
-            raise CliError(f"unknown config key {key!r}")
-        defaults[attr] = value
-    return build_parser(defaults).parse_args(argv)
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise CliError(f"{args.config}: not a JSON object")
+    return build_parser(config).parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,10 @@ A Corpus is immutable after construction.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,10 +120,10 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme) -
 
     paper_ids, paper_rank = _sorted_codes(paper_code)
     ref_ids, ref_rank = _sorted_codes(ref_code)
-    rows = paper_rank[slot_papers]
-    incidence = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, ref_rank[slot_refs])),
-        shape=(len(paper_ids), len(ref_ids)))
+    rows, cols = paper_rank[slot_papers], ref_rank[slot_refs]
+    del paper_code, ref_code, slot_papers, slot_refs  # freed before the CSR build
+    incidence = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                              shape=(len(paper_ids), len(ref_ids)))
     # paper_journal in sorted row order: the file position of each sorted id
     paper_journal = paper_journal[np.argsort(paper_rank)]
     return Corpus(
@@ -181,27 +182,24 @@ def _read_papers(path, journal_code: dict[str, int]):
 
 def _read_references(path, paper_code: dict[str, int]):
     """Reference id -> code, plus the paper code and reference code of every slot."""
-    ref_code: dict[str, int] = {}
-    paper_chunks = [np.empty(0, dtype=np.intp)]
-    ref_chunks = [np.empty(0, dtype=np.intp)]
+    ref_code = defaultdict(count().__next__)  # one probe per slot codes a new id too
+    paper_chunks = [np.empty(0, dtype=np.int32)]
+    ref_chunks = [np.empty(0, dtype=np.int32)]
     for chunk in read_table(path, ("paper_id", "reference_id"), (), CorpusError):
         pids, rids = chunk.columns["paper_id"], chunk.columns["reference_id"]
-        papers = np.fromiter(map(paper_code.get, pids, repeat(-1)), np.intp, len(pids))
+        papers = np.fromiter(map(paper_code.get, pids, repeat(-1)), np.int32, len(pids))
         unknown = np.flatnonzero(papers < 0)
         if len(unknown):
             i = unknown[0]
             raise chunk.error(i, f"reference row for unknown paper_id {pids[i]}")
-        # provisional codes in no particular order; _sorted_codes sorts them
-        new = set(rids).difference(ref_code)
-        ref_code.update(zip(new, range(len(ref_code), len(ref_code) + len(new))))
         paper_chunks.append(papers)
-        ref_chunks.append(np.fromiter(map(ref_code.__getitem__, rids), np.intp, len(rids)))
+        ref_chunks.append(np.fromiter(map(ref_code.__getitem__, rids), np.int32, len(rids)))
     return ref_code, np.concatenate(paper_chunks), np.concatenate(ref_chunks)
 
 
 def _sorted_codes(codes: dict[str, int]):
     """The ids in sorted order and, per code, the id's position in that order."""
     ids = tuple(sorted(codes))
-    rank = np.empty(len(ids), dtype=np.intp)
+    rank = np.empty(len(ids), dtype=np.int32)
     rank[np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
     return ids, rank

@@ -19,7 +19,7 @@ import io
 import math
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -228,18 +228,18 @@ def normalize(vec: dict[int, float]) -> dict[int, float]:
     return {i: w / total for i, w in sorted(vec.items()) if w != 0.0}
 
 
+@dataclass(frozen=True)
 class TableChunk:
     """Consecutive rows of a delimited table, held as columns of stripped strings."""
 
-    def __init__(self, name: str, lines, columns: dict[str, list[str]], error_cls):
-        self.name = name
-        self.lines = lines  # line number of each row; the header is line 1
-        self.columns = columns
-        self._error_cls = error_cls
+    name: str
+    lines: range | list[int]  # line number of each row; the header is line 1
+    columns: dict[str, list[str]]
+    error_cls: type[Exception]
 
     def error(self, row: int, message: str) -> Exception:
         """The table's error type with ``message``, naming the file and the row's line."""
-        return self._error_cls(f"{self.name}, line {self.lines[row]}: {message}")
+        return self.error_cls(f"{self.name}, line {self.lines[row]}: {message}")
 
 
 def read_table(source, required, optional=(), error_cls=SchemeError):
@@ -252,29 +252,27 @@ def read_table(source, required, optional=(), error_cls=SchemeError):
     ``optional`` ones, which read as "" where the header or a row lacks them.
     A missing column, a row too short to reach a required column, a field
     that spans lines and a csv syntax error raise ``error_cls`` naming the
-    file and line.
+    file and line.  Chunks of plain lines (see _split_plain) skip the csv reader.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
             yield from read_table(fh, required, optional, error_cls)
         return
     name = getattr(source, "name", "<table>")
-    pos = source.tell() if hasattr(source, "tell") else None
-    sample = source.readline()
-    if pos is not None:
-        source.seek(pos)
+    sample = next(source, "")
     delimiter = next((c for c in (",", ";", "\t", "|") if c in sample), ",")
-    reader = csv.reader(source, delimiter=delimiter)
 
-    def rows(count):
+    def rows(reader, count, start):
         try:
             return list(islice(reader, count))
         except csv.Error as exc:
-            raise error_cls(f"{name}, line {reader.line_num}: {exc}") from None
+            raise error_cls(f"{name}, line {start + reader.line_num}: {exc}") from None
 
-    first = rows(1)
+    reader = csv.reader(chain([sample], source), delimiter=delimiter)
+    first = rows(reader, 1, 0)
     if not first or not first[0]:
         raise error_cls(f"{name}: empty table")
+    start = reader.line_num  # lines read so far
     header = [h.strip() for h in first[0]]
     header[0] = header[0].removeprefix("\ufeff").strip()
     missing = [c for c in required if c not in header]
@@ -283,32 +281,55 @@ def read_table(source, required, optional=(), error_cls=SchemeError):
     need = max(header.index(c) for c in required)
     wanted = [(c, header.index(c)) for c in (*required, *optional) if c in header]
     width = max(pos for _, pos in wanted) + 1
-    while True:
-        start = reader.line_num
-        raw = rows(CHUNK_ROWS)
-        if not raw:
-            return
-        # one row per line, so that a row's line follows from its position
-        if reader.line_num - start != len(raw):
-            row = next((i for i, r in enumerate(raw)
-                        if any("\n" in v or "\r" in v for v in r)), 0)
-            raise error_cls(f"{name}, line {start + 1 + row}: a field spans lines")
-        lines = range(start + 1, start + 1 + len(raw))
-        if min(map(len, raw)) < max(width, 2):
-            # rare: blank rows to drop, short rows to reject or pad
-            full, kept = [], []
-            for r, line in zip(raw, lines):
-                if not r or (len(r) == 1 and not r[0].strip()):
-                    continue
-                if len(r) <= need:
-                    raise error_cls(f"{name}, line {line}: {len(r)} fields, too few "
-                                    f"to reach column {header[need]!r}")
-                full.append(r + [""] * (width - len(r)))
-                kept.append(line)
-            raw, lines = full, kept
-            if not raw:
-                continue
-        columns = {c: list(map(str.strip, map(itemgetter(pos), raw))) for c, pos in wanted}
-        for c in optional:
-            columns.setdefault(c, [""] * len(raw))
-        yield TableChunk(name, lines, columns, error_cls)
+    while block := list(islice(source, CHUNK_ROWS)):
+        text = "".join(block)
+        items = _split_plain(text, delimiter, len(header))
+        lines = range(start + 1, start + 1 + len(block))
+        if items is not None:
+            columns = {c: items[pos::len(header) + 1] for c, pos in wanted}
+            if not text.isascii() or any(c in text for c in _ASCII_BLANKS):
+                columns = {c: list(map(str.strip, v)) for c, v in columns.items()}
+        else:
+            reader = csv.reader(chain(block, source), delimiter=delimiter)
+            raw = rows(reader, CHUNK_ROWS, start)
+            # one row per line, so that a row's line follows from its position
+            if reader.line_num != len(raw):
+                row = next((i for i, r in enumerate(raw)
+                            if any("\n" in v or "\r" in v for v in r)), 0)
+                raise error_cls(f"{name}, line {start + 1 + row}: a field spans lines")
+            if min(map(len, raw)) < max(width, 2):
+                # rare: blank rows to drop, short rows to reject or pad
+                full, kept = [], []
+                for r, line in zip(raw, lines):
+                    if not r or (len(r) == 1 and not r[0].strip()):
+                        continue
+                    if len(r) <= need:
+                        raise error_cls(f"{name}, line {line}: {len(r)} fields, too few "
+                                        f"to reach column {header[need]!r}")
+                    full.append(r + [""] * (width - len(r)))
+                    kept.append(line)
+                raw, lines = full, kept
+            columns = {c: list(map(str.strip, map(itemgetter(pos), raw)))
+                       for c, pos in wanted}
+        start += len(block)
+        if lines:
+            columns.update((c, [""] * len(lines)) for c in optional if c not in columns)
+            yield TableChunk(name, lines, columns, error_cls)
+
+
+# what str.strip removes from ASCII text, besides the line feed
+_ASCII_BLANKS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _split_plain(text: str, delimiter: str, ncols: int):
+    """The fields of ``text``'s lines, a "\\n" item after each line's; None unless each
+    line has ``ncols`` >= 2 fields and no quote, NUL or CR outside a CRLF ending."""
+    if ncols < 2 or '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    items = text.replace("\n", f"{delimiter}\n{delimiter}").split(delimiter)
+    rows = text.count("\n")
+    if len(items) != (ncols + 1) * rows + 1 or items[ncols::ncols + 1].count("\n") != rows:
+        return None
+    return items[:-1]

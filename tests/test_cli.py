@@ -115,6 +115,49 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "max_iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("threshold_mode", "bogus"),
+        ("min_refs", 2.5),
+        ("max-iterations", "7x"),
+        ("threads", True),
+        ("threshold", None),
+        ("threshold", [1e-6, "x"]),
+        ("no_ineligible_citers", 1),
+        ("no_ineligible_citers", "true"),
+        ("variants", 5),
+        ("compare", [{"x": "y"}]),
+    ])
+    def test_config_value_the_flag_rejects_fails_before_any_work(
+            self, corpus_dir, tmp_path, capsys, monkeypatch, key, value):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("a table was read")
+
+        monkeypatch.setattr(cli, "load_scheme", no_tables)
+        monkeypatch.setattr(cli, "load_corpus", no_tables)
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        cfg.write_text(json.dumps({"dir": str(corpus_dir), "out": str(out), key: value}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r}")
+        assert not out.exists()
+
+    def test_config_values_take_the_flags_types_and_repeats(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "min_refs": "4", "threshold": 2, "threshold-mode": "absolute",
+            "no_ineligible_citers": False, "compare": ["a=x.csv"], "variants": "JL-F-0.8"}))
+        args = cli.parse_args(["run", "--config", str(cfg), "--compare", "b=y.csv"])
+        assert (args.min_refs, args.threshold, args.threshold_mode) == (4, 2.0, "absolute")
+        assert args.no_ineligible_citers is False
+        assert args.compare == ["a=x.csv", "b=y.csv"]
+        assert args.variants == "JL-F-0.8"
+
+    def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["min_refs", 3]]))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: not a JSON object\n"
+
     def test_compare_table_with_unknown_paper_is_an_error(self, corpus_dir, tmp_path,
                                                           capsys):
         table = tmp_path / "x.csv"

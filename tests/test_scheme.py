@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refclass import scheme as scheme_module
 
@@ -296,3 +296,103 @@ def test_load_scheme_matches_plain_reading(table, chunk_rows, as_file):
             scheme = load_scheme(source)
     assert (scheme.categories, scheme.misc_codes, scheme.multidisciplinary_code) \
         == expected
+
+
+# ---------------------------------------------------------------------------
+# read_table against a reading that sends every chunk through the csv reader
+
+BLANKS = " \xa0\x1c"
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def delimited_tables(draw):
+    """Table text with columns a and b (and c, note) that csv may or may not read.
+
+    Each table turns on a few quirks: quoted fields (some spanning lines),
+    a stray quote, NUL or CR in a field, fields padded with blanks that
+    strip removes, rows one field short and rows 1 or ncols + 1 fields long,
+    blank and whitespace-only lines, lone CR endings.  Endings are LF or
+    CRLF; some tables have a byte order mark or no final line ending.
+    """
+    quirks = draw(st.sets(st.sampled_from(
+        ("quoted", "stray", "padded", "ragged", "blank", "cr")), max_size=3))
+    delimiter = draw(st.sampled_from((",", ";", "\t", "|")))
+    header = draw(st.permutations(
+        ["a", "b"] + draw(st.lists(st.sampled_from(("c", "note")), unique=True))))
+    alphabet = "ab1" + (BLANKS if "padded" in quirks else "")
+    odd = {"quoted": st.text(alphabet='a1 ,;\t|"\n', max_size=3).map(_quoted),
+           "stray": st.sampled_from(('a"b', "a\0", "x\ry"))}
+    odd = [strategy for quirk, strategy in odd.items() if quirk in quirks]
+
+    def field():
+        if odd and draw(st.integers(0, 3)) == 0:
+            return draw(st.one_of(odd))
+        return draw(st.text(alphabet=alphabet, max_size=3))
+
+    kinds = (["row"] + ["blank"] * ("blank" in quirks)
+             + ["short", "long"] * ("ragged" in quirks))
+    lines = [delimiter.join(draw(st.sampled_from(("", " ", "\xa0"))) + name
+                            for name in header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds)) if draw(st.booleans()) else "row"
+        if kind == "blank":
+            lines.append(draw(st.text(alphabet=BLANKS, max_size=2)))
+        else:
+            size = len(header) + {"row": 0, "short": -1,
+                                  "long": draw(st.sampled_from((1, len(header) + 1)))}[kind]
+            lines.append(delimiter.join(field() for _ in range(size)))
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    endings = [("\r" if "cr" in quirks and draw(st.booleans()) else ending)
+               for _ in lines]
+    if draw(st.booleans()):
+        endings[-1] = ""
+    bom = draw(st.sampled_from(("", "\ufeff")))
+    return bom + "".join(line + end for line, end in zip(lines, endings))
+
+
+def _read_chunks(text: str, newline):
+    """Every chunk of ``text`` as (lines, columns), then the error text if one is raised."""
+    source = io.StringIO(text, newline=newline)
+    source.name = "t.csv"
+    out = []
+    try:
+        for chunk in scheme_module.read_table(source, ("a", "b"), ("c",)):
+            out.append((list(chunk.lines), chunk.columns))
+    except SchemeError as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_read_table_matches_csv_only_reading():
+    split_plain = scheme_module._split_plain
+    taken = {True: 0, False: 0}  # chunks split directly, chunks handed to csv
+
+    def spy(*args):
+        items = split_plain(*args)
+        taken[items is not None] += 1
+        return items
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=delimited_tables(), newline=st.sampled_from(("", "\n", None)),
+           chunk_rows=st.integers(1, 4))
+    # as many fields as two full rows, in a short and a long row or in one row
+    @example(text="a,b\nx\nx,y,z\n", newline="", chunk_rows=2)
+    @example(text="a,b\nx,y,z,w,v\n", newline="", chunk_rows=1)
+    def check(text, newline, chunk_rows):
+        with mock.patch.object(scheme_module, "CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(scheme_module, "_split_plain", return_value=None):
+                expected = _read_chunks(text, newline)
+            with mock.patch.object(scheme_module, "_split_plain", spy):
+                assert _read_chunks(text, newline) == expected
+
+    check()
+    assert taken[True] and taken[False]
+
+
+def test_ascii_blanks_are_what_strip_removes():
+    assert set(scheme_module._ASCII_BLANKS) == {
+        c for c in map(chr, range(128)) if not c.strip()} - {"\n"}
