@@ -5,6 +5,11 @@ which equals ascending index in the canonical order).  The top entry is
 always kept; each further entry survives only while its weight is at least
 threshold times the previous kept weight and the cap of MAX_CATEGORIES is
 not exceeded.  Kept weights are renormalized to sum 1.
+
+The kept entries are a rank prefix of at most MAX_CATEGORIES, so a row is
+first cut to the entries at least as heavy as its MAX_CATEGORIES-th
+heaviest (ties kept), and only those are ranked.  The cut needs positive
+finite weights: prune_classification rejects any other.
 """
 
 from __future__ import annotations
@@ -38,11 +43,32 @@ class PruneConfig:
         return f"{self.threshold:g}"
 
 
+def _heaviest(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` without the entries lighter than their row's MAX_CATEGORIES-th heaviest.
+
+    Rows of equal length are cut together, by one ``np.partition`` of their
+    (rows x length) block of stored entries.
+    """
+    counts = np.diff(m.indptr)
+    keep = np.ones(m.nnz, dtype=bool)
+    lengths = np.flatnonzero(np.bincount(counts))
+    for length in lengths[lengths > MAX_CATEGORIES]:
+        slots = m.indptr[:-1][counts == length][:, None] + np.arange(length)
+        weights = m.data[slots]
+        cut = length - MAX_CATEGORIES
+        keep[slots] = weights >= np.partition(weights, cut, axis=1)[:, cut, None]
+    if keep.all():
+        return m
+    return sp.csr_matrix((m.data[keep], m.indices[keep],
+                          np.concatenate(([0], np.cumsum(keep)))[m.indptr]), shape=m.shape)
+
+
 def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
     """Prune every row of a papers x categories CSR matrix in one pass."""
-    counts = np.diff(m.indptr)
-    if (counts == 0).any():
+    if (np.diff(m.indptr) == 0).any():
         raise ValueError("cannot prune an empty vector")
+    m = _heaviest(m)
+    counts = np.diff(m.indptr)
     order = weight_order(m)
     w = m.data[order]
     starts = m.indptr[:-1]
@@ -63,7 +89,17 @@ def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
 
 
 def prune_classification(c: Classification, config: PruneConfig) -> Classification:
-    """Row-wise prune; the variant label gains the threshold suffix."""
+    """Row-wise prune; the variant label gains the threshold suffix.
+
+    Every weight must be positive and finite: a ValueError names the first
+    paper with another.
+    """
+    data = c.weights.data
+    bad = np.flatnonzero(~((data > 0) & (data < np.inf)))
+    if len(bad):
+        row = np.searchsorted(c.weights.indptr, bad[0], side="right") - 1
+        raise ValueError(f"paper {c.paper_ids[row]}: weight {data[bad[0]]!r} "
+                         "is not positive and finite")
     return dataclasses.replace(
         c, variant_label=f"{c.variant_label}-{config.label}",
         weights=_prune_rows(c.weights, config),

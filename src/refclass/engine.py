@@ -209,51 +209,134 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``indptr`` of the rows that keep only the entries where ``keep`` is True."""
+    return np.concatenate(([0], np.cumsum(keep)))[indptr]
+
+
 def _accumulate(blocks, scaled: np.ndarray, refs: np.ndarray) -> None:
     """Fill ``refs`` with citations @ ``scaled`` by blocks, rows scaled to unit sum.
 
     An entry adds its terms in ascending paper order from zero, like scipy's
     sparse product; the zeros of ``scaled`` add exact zeros to these
-    non-negative sums.  A row is divided by the sum of its nonzeros.
+    non-negative sums.  A row is divided by the sum of its nonzeros: a 2-D
+    ``reduceat`` groups a row without zeros as the 1-D one groups it, so
+    only rows that hold a zero are compacted first.
     """
     for lo, block in blocks:
         part = refs[lo:lo + block.shape[0]]
         part[...] = block @ scaled
-        nonzero = part != 0
-        part /= _row_sums(part[nonzero], np.count_nonzero(nonzero, axis=1))[:, None]
+        sums = np.add.reduceat(part, [0], axis=1)[:, 0]
+        holds = ~part.all(axis=1)
+        if holds.any():
+            rows = part[holds]
+            nonzero = rows != 0
+            sums[holds] = _row_sums(rows[nonzero], np.count_nonzero(nonzero, axis=1))
+        part /= sums[:, None]
 
 
-def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, masked: bool):
-    """Paper rows as CSR: sums of cited reference rows, renormalized.
+class _Support:
+    """The eligible papers' JL support, kept as arrays across the loop's steps.
+
+    Row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]`` in ascending column
+    order, with its current ``values``.  Per entry, ``pos`` is its flat
+    position in the citing-weights buffer, ``scale`` its row's citing scale
+    and ``local`` its flat position in its row block's product.  The support
+    only shrinks: an entry leaves when its new value rounds to zero.
+    """
+
+    def __init__(self, rows: sp.csr_matrix, offsets: np.ndarray, scale: np.ndarray,
+                 blocks):
+        rows = rows.sorted_indices()
+        self.shape = rows.shape
+        self.indptr, self.indices, self.values = rows.indptr, rows.indices, rows.data
+        self.counts = np.diff(self.indptr)
+        block_lo = np.repeat(np.array([lo for lo, _ in blocks], dtype=np.intp),
+                             [b.shape[0] for _, b in blocks])
+        local_row = np.arange(rows.shape[0]) - block_lo
+        self.pos = np.repeat(offsets, self.counts) + self.indices
+        self.scale = np.repeat(scale, self.counts)
+        self.local = np.repeat(local_row * rows.shape[1], self.counts) + self.indices
+        self._spare = np.empty_like(self.values)
+
+    def csr(self) -> sp.csr_matrix:
+        """The current rows as canonical CSR, without explicit zeros."""
+        keep = self.values != 0
+        return sp.csr_matrix((self.values[keep], self.indices[keep],
+                              _kept_indptr(keep, self.indptr)), shape=self.shape)
+
+    def propagate(self, blocks, refs: np.ndarray):
+        """The support's entries of ``blocks`` @ ``refs``, rows scaled to unit sum.
+
+        ``blocks`` are the row blocks the support was built with.  A row is
+        divided by the sum of its nonzeros in column order, as scipy sums the
+        masked product's row.  A row without a nonzero stalls: it keeps its
+        current values.  Returns (the new values aligned with the support, 0
+        where an entry rounds to zero; the stalled rows).
+        """
+        new = self._spare[:len(self.values)]
+        p = self.indptr
+        for lo, block in blocks:
+            a, b = p[lo], p[lo + block.shape[0]]
+            np.take(block @ refs, self.local[a:b], out=new[a:b], mode="clip")
+        counts = self.counts
+        if np.count_nonzero(new) < len(new):
+            keep = new != 0
+            counts = np.diff(_kept_indptr(keep, p))
+            sums = _row_sums(new[keep], counts)
+        else:
+            sums = _row_sums(new, counts)
+        new /= np.repeat(sums, self.counts)
+        stalled = counts == 0
+        if stalled.any():
+            held = np.repeat(stalled, self.counts)
+            new[held] = self.values[held]
+        return new, stalled
+
+    def residual(self, new: np.ndarray) -> float:
+        """Total squared change from the current values to ``new``.
+
+        These are the terms, in the order, of scipy's
+        ``diff.multiply(diff).sum()``, which sorts its operand's indices
+        before it sums: the nonzero squared differences in (row, column)
+        order.  The current values are overwritten.
+        """
+        diff = self.values
+        np.subtract(diff, new, out=diff)
+        np.multiply(diff, diff, out=diff)
+        return float(np.sum(diff[diff != 0]))
+
+    def advance(self, new: np.ndarray, flat: np.ndarray) -> None:
+        """Make ``new`` the current values and write them times the citing
+        scale into ``flat``; an entry that rounded to zero writes 0 and leaves."""
+        flat[self.pos] = new * self.scale
+        self._spare, self.values = self.values, new
+        if np.count_nonzero(new) < len(new):
+            keep = new != 0
+            self.indptr = _kept_indptr(keep, self.indptr)
+            self.counts = np.diff(self.indptr)
+            self.indices, self.pos, self.scale, self.local, self.values = (
+                a[keep] for a in (self.indices, self.pos, self.scale, self.local, new))
+
+
+def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
+    """U1 rows as CSR: sums of cited reference rows, renormalized.
 
     ``blocks`` are the row blocks of the eligible papers x references
-    incidence.  ``masked`` reads off each block's product only the entries
-    stored in ``prev`` (it holds no explicit zeros), in column order.  A row
-    whose sum vanishes takes ``prev``'s row and is reported as stalled;
-    scipy's sum then leaves the indices unsorted.  Returns (rows, stalled).
+    incidence.  A row whose sum vanishes takes ``prev``'s row and is
+    reported as stalled; scipy's sum then leaves the indices unsorted.
+    Returns (rows, stalled).
     """
     n, k = prev.shape
-    size = prev.nnz if masked else n * k
-    if masked:
-        mask = prev if prev.has_sorted_indices else prev.sorted_indices()
-    indices, data = np.empty(size, dtype=np.int32), np.empty(size)
+    indices, data = np.empty(n * k, dtype=np.int32), np.empty(n * k)
     counts = np.zeros(n, dtype=np.int64)
     end = 0
     for lo, block in blocks:
         hi = lo + block.shape[0]
         product = block @ refs
-        if masked:
-            bounds = mask.indptr[lo:hi + 1]
-            rows = np.repeat(np.arange(hi - lo), np.diff(bounds))
-            cols = mask.indices[bounds[0]:bounds[-1]]
-            values = np.take(product, rows * k + cols)
-            keep = values != 0
-            counts[lo:hi] = np.diff(bounds) - np.bincount(rows[~keep], minlength=hi - lo)
-            values, cols = values[keep], cols[keep]
-        else:
-            keep = product != 0
-            counts[lo:hi] = np.count_nonzero(keep, axis=1)
-            values, cols = product[keep], np.flatnonzero(keep) % k
+        keep = product != 0
+        counts[lo:hi] = np.count_nonzero(keep, axis=1)
+        values, cols = product[keep], np.flatnonzero(keep) % k
         values /= np.repeat(_row_sums(values, counts[lo:hi]), counts[lo:hi])
         start, end = end, end + len(values)
         data[start:end], indices[start:end] = values, cols
@@ -273,7 +356,7 @@ def run(corpus: Corpus, config: EngineConfig):
     """Execute the full loop and return the (JL, U1) classification pair.
 
     The loop's right operands are two dense buffers, updated in place; the
-    eligible papers' rows are CSR.
+    eligible papers' JL rows are a ``_Support``, and CSR only for the output.
     """
     incidence, w0, ref_counts = corpus.matrices()
     k = w0.shape[1]
@@ -297,41 +380,24 @@ def run(corpus: Corpus, config: EngineConfig):
     refs = np.empty((corpus.citations.shape[0], k))
     citing_blocks = _row_blocks(corpus.citations, k)
     paper_blocks = _row_blocks(incidence[elig_rows], k)
-    row_offsets, elig_scale = elig_rows * k, scale[elig_rows]
-
-    def step(w_el, masked):
-        """One accumulate -> propagate step: (new rows, stalled count).
-
-        A masked (JL) step's rows replace ``w_el``'s in the citing weights.
-        """
-        _accumulate(citing_blocks, scaled, refs)
-        w_new, zero = _propagate(paper_blocks, refs, w_el, masked)
-        if masked:
-            flat = scaled.reshape(-1)
-            flat[np.repeat(row_offsets, np.diff(w_el.indptr)) + w_el.indices] = 0.0
-            counts = np.diff(w_new.indptr)
-            flat[np.repeat(row_offsets, counts) + w_new.indices] = (
-                w_new.data * np.repeat(elig_scale, counts))
-        return w_new, int(zero.sum())
+    rows = w0[elig_rows]
+    support = _Support(rows, elig_rows * k, scale[elig_rows], paper_blocks)
 
     threshold = config.effective_threshold(len(elig_ids))
-    w_el = w0[elig_rows].tocsr()
     trace: list[float] = []
     stalled = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        w_new, n_stalled = step(w_el, True)
-        stalled += n_stalled
-        diff = (w_new - w_el).tocsr()
-        residual = float(diff.multiply(diff).sum())
-        trace.append(residual)
-        w_el = w_new
-        if residual < threshold:
-            converged = True
+    for _ in range(config.max_iterations):
+        _accumulate(citing_blocks, scaled, refs)
+        new, zero = support.propagate(paper_blocks, refs)
+        trace.append(support.residual(new))
+        support.advance(new, scaled.reshape(-1))
+        stalled += int(zero.sum())
+        if trace[-1] < threshold:
             break
-
-    _check_support(w_el, w0[elig_rows])
+    jl_rows = support.csr()
+    del support, new  # the U1 pass does not need the support's arrays
+    _check_support(jl_rows, rows)
+    iterations, converged = len(trace), trace[-1] < threshold
 
     def classification(phase, w, n_stalled):
         return Classification(
@@ -345,9 +411,10 @@ def run(corpus: Corpus, config: EngineConfig):
             stalled=n_stalled,
         )
 
-    jl = classification("JL", w_el, stalled)
-    u1, n_stalled = step(w_el, False)
-    return jl, classification("U1", u1, stalled + n_stalled)
+    jl = classification("JL", jl_rows, stalled)
+    _accumulate(citing_blocks, scaled, refs)
+    u1, zero = _propagate(paper_blocks, refs, jl_rows)
+    return jl, classification("U1", u1, stalled + int(zero.sum()))
 
 
 def _check_support(w, w0):

@@ -83,3 +83,10 @@ class TestPruneClassification:
     def test_label_extension(self):
         c = Classification.from_vectors("U1-F", {"p": {0: 1.0}})
         assert prune_classification(c, PruneConfig(0.67)).variant_label == "U1-F-0.67"
+
+    @pytest.mark.parametrize("vector", [{0: math.nan, 1: 0.5, 2: 0.4}, {0: -1.0, 1: 0.5},
+                                        {0: math.inf, 1: 1.0}])
+    def test_weight_not_positive_and_finite_is_rejected(self, vector):
+        c = Classification.from_vectors("U1-F", {"p1": {0: 1.0}, "p2": vector})
+        with pytest.raises(ValueError, match="paper p2: weight .* is not positive and finite"):
+            prune_classification(c, PruneConfig(0.5))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from refclass import engine
 from refclass import scheme as scheme_module
 from refclass.corpus import Corpus, CorpusError, eligible_rows, load_corpus
-from refclass.engine import (Classification, EngineConfig, EngineError, _accumulate,
-                             _propagate, _row_blocks, read_classification, run,
-                             write_classification)
+from refclass.engine import (Classification, EngineConfig, EngineError, _Support,
+                             _accumulate, _propagate, _row_blocks, read_classification,
+                             run, write_classification)
 from refclass.oracle import dense_run, max_component_difference
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
@@ -103,10 +104,22 @@ def accumulate(citations, w, scale=None):
     return sp.csr_matrix(refs)
 
 
+def jl_step(blocks, refs, prev):
+    """run()'s JL rows on ``prev``'s support from dense ``refs``: (canonical CSR
+    rows, stalled)."""
+    n, k = prev.shape
+    support = _Support(prev, np.arange(n) * k, np.ones(n), blocks)
+    new, stalled = support.propagate(blocks, refs)
+    support.advance(new, np.zeros(n * k))
+    return support.csr(), stalled
+
+
 def propagate(incidence, refs, prev, masked=False):
     """run()'s paper rows from reference rows ``refs``: (CSR rows, stalled)."""
-    return _propagate(_row_blocks(incidence, refs.shape[1]), refs.toarray(), prev,
-                      masked)
+    blocks = _row_blocks(incidence, refs.shape[1])
+    if masked:
+        return jl_step(blocks, refs.toarray(), prev)
+    return _propagate(blocks, refs.toarray(), prev)
 
 
 def reversed_rows(m):
@@ -148,8 +161,10 @@ def product_operands(draw):
 @given(product_operands())
 def test_matmul_equals_sparse_product_bit_for_bit(operands):
     # the block kernels against scipy's products: _accumulate's dense rows are
-    # the normalized a @ b, _propagate's rows the normalized product masked by
-    # prev's support (or not), with stalled rows taken from prev
+    # the normalized a @ b; the JL step's rows the normalized product masked by
+    # prev's support, _propagate's the unmasked one, with stalled rows taken
+    # from prev.  The JL step's rows are canonical: scipy's stall fallback
+    # leaves its rows in an order of its own, which every later use sorts
     a, b, prev, masked = operands
     k = b.shape[1]
     refs, _ = scipy_row_normalize(sparse_product(a, b))
@@ -157,12 +172,15 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
                                                     else None))
     if zero.any():
         rows = (rows + sp.diags(zero.astype(float)) @ prev).tocsr()
+        if masked:
+            rows.sort_indices()
     for budget in (1, 2, k, engine._PRODUCT_BLOCK_ENTRIES):
         with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
             blocks = _row_blocks(a, k)
             dense = np.empty((a.shape[0], k))
             _accumulate(blocks, b.toarray(), dense)
-            out, stalled = _propagate(blocks, b.toarray(), prev, masked)
+            out, stalled = (jl_step(blocks, b.toarray(), prev) if masked
+                            else _propagate(blocks, b.toarray(), prev))
         assert np.array_equal(dense, refs.toarray())
         assert np.array_equal(stalled, zero)
         assert out.shape == rows.shape
@@ -245,7 +263,12 @@ def engine_corpora(draw):
     They hold papers with short or no reference lists (with min_refs 0 these
     stall), references that no paper in scope cites, corpora without
     references, and subnormal weights whose scaled or normalized terms round
-    to zero, so that a paper's support shrinks.
+    to zero, so that a paper's support shrinks.  Journal rows may be stored
+    out of column order, as load_corpus keeps a journal table's order.  A
+    paper may count fewer reference slots than it cites: under F a count of
+    0 makes it a citer of scale 0, whose row can stall after steps that did
+    not (with slot counts equal to the citations, a row stalls in every step
+    or in none).
     """
     n, m, k = draw(st.integers(1, 8)), draw(st.integers(0, 6)), draw(st.integers(1, 5))
     cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 1, 2]), min_size=n * m,
@@ -253,8 +276,13 @@ def engine_corpora(draw):
     weight = st.one_of(st.just(0.0), st.just(0.0), st.sampled_from([5e-324, 1e-310]),
                        st.floats(1e-3, 1.0))
     weights = draw(st.lists(weight, min_size=n * k, max_size=n * k))
-    return matrix_corpus(np.array(cells, dtype=float).reshape(n, m),
-                         np.array(weights).reshape(n, k))
+    corpus = matrix_corpus(np.array(cells, dtype=float).reshape(n, m),
+                           np.array(weights).reshape(n, k))
+    if draw(st.booleans()):
+        corpus = dataclasses.replace(corpus, initial=reversed_rows(corpus.initial))
+    uncounted = draw(st.lists(st.sampled_from([False, False, False, True]),
+                              min_size=n, max_size=n))
+    return dataclasses.replace(corpus, ref_counts=np.where(uncounted, 0, corpus.ref_counts))
 
 
 ENGINE_CONFIGS = st.builds(
@@ -321,6 +349,43 @@ def test_rows_after_a_stall_are_summed_in_column_order():
     jl_rows, trace, _, _, _ = reference_run(corpus, config)
     assert np.array_equal(jl.weights.data, jl_rows.data)
     assert jl.residual_trace == trace
+
+
+def test_shrink_then_stall_matches_the_sparse_composition():
+    # p0 = (2t, 1), t the least subnormal, cites r0 and r1; r1's other citers
+    # weigh c1 only, so step 1 gives p0's c0 (t + 0) / 2, which rounds to zero
+    # and leaves the support.  p1 = (1, 0) cites r0 but counts no reference
+    # slot, so under F its citing scale is 0 and r0's c0 is p0's alone: gone
+    # in step 2, where p1 stalls, and again in step 3.  p5 and p6 keep the
+    # residual above the bound.  (With slot counts equal to the citations, a
+    # row stalls in every step or in none.)
+    t = 5e-324
+    incidence = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [1, 0, 0],
+                          [0, 0, 1], [0, 0, 1]], dtype=float)
+    weights = np.array([[2 * t, 1], [1, 0], [0, 1], [0, 1], [0, 1], [1, 2], [0, 1]])
+    corpus = dataclasses.replace(matrix_corpus(incidence, weights),
+                                 ref_counts=np.array([2, 0, 1, 1, 1, 1, 1]))
+    config = EngineConfig(fractional=True, convergence_threshold=1e-30,
+                          per_paper_threshold=None, max_iterations=3, min_refs=0)
+    steps, real = [], _Support.propagate
+
+    def propagate(support, blocks, refs):
+        nnz = len(support.values)
+        new, zero = real(support, blocks, refs)
+        steps.append((nnz, np.count_nonzero(new), int(zero.sum())))
+        return new, zero
+
+    with mock.patch.object(_Support, "propagate", propagate):
+        jl, u1 = run(corpus, config)
+    # (support entries, nonzero new values, stalled rows) per step
+    assert steps == [(9, 8, 0), (8, 8, 1), (8, 8, 1)]
+    assert jl.vectors["p0"] == {1: 1.0}
+    jl_rows, trace, jl_stalled, u1_rows, stalled = reference_run(corpus, config)
+    for c, rows in ((jl, jl_rows), (u1, u1_rows)):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(c.weights, part), getattr(rows, part)), part
+    assert jl.residual_trace == trace
+    assert (jl.stalled, u1.stalled) == (jl_stalled, stalled)
 
 
 class TestAccumulate:

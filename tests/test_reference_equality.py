@@ -120,9 +120,31 @@ def vectors(draw):
     return dict(zip(cats, weights))
 
 
-def paper_sets():
-    return st.dictionaries(st.sampled_from([f"p{i}" for i in range(12)]), vectors(),
-                           min_size=1, max_size=12)
+WIDE = 285  # the bundled scheme's category count
+
+
+@st.composite
+def wide_vectors(draw):
+    """A raw weight vector over up to WIDE categories whose fifth place is tied.
+
+    ``heavy`` heavier entries come first, then ``tied`` entries of one weight
+    that take rank five and, when there are enough, ranks on both sides of
+    it, then lighter free or tied entries.
+    """
+    size = draw(st.integers(1, WIDE))
+    cats = draw(st.permutations(range(WIDE)))[:size]
+    tie = draw(st.floats(1e-3, 0.5))
+    heavy = draw(st.integers(0, 4))
+    weights = [draw(st.floats(tie, 1.0, exclude_min=True)) for _ in range(heavy)]
+    weights += [tie] * draw(st.integers(MAX_CATEGORIES - heavy, 8 - heavy))
+    lighter = st.one_of(st.floats(1e-6, tie, exclude_max=True), st.just(tie / 2))
+    weights += [draw(lighter) for _ in range(size - len(weights))]
+    return dict(zip(cats, weights[:size]))
+
+
+def paper_sets(vector_strategy=vectors()):
+    return st.dictionaries(st.sampled_from([f"p{i}" for i in range(12)]),
+                           vector_strategy, min_size=1, max_size=12)
 
 
 def matrix(vecs):
@@ -132,7 +154,7 @@ def matrix(vecs):
 # ---------------------------------------------------------------------------
 # properties
 
-@given(paper_sets(), THRESHOLDS)
+@given(paper_sets(st.one_of(vectors(), wide_vectors())), THRESHOLDS)
 @example({"p0": dict.fromkeys(range(K), 0.125)}, 0.5)  # ties past the cap
 def test_prune_equals_reference(vecs, t):
     config = PruneConfig(t)
