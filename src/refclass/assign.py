@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import Classification, row_fsums, weight_order
+from .engine import Classification, kept_indptr, row_fsums, weight_order
 
 DEFAULT_THRESHOLDS = (0.5, 0.67, 0.8)
 MAX_CATEGORIES = 5
@@ -28,6 +28,8 @@ MAX_CATEGORIES = 5
 # Relative slack on the ratio test so that renormalization rounding cannot
 # flip a pair sitting exactly on the threshold; keeps pruning idempotent.
 _RATIO_EPS = 1e-12
+# stored entries per block of the cut: bounds the temporaries of a row-length group
+_CUT_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,21 +48,24 @@ class PruneConfig:
 def _heaviest(m: sp.csr_matrix) -> sp.csr_matrix:
     """``m`` without the entries lighter than their row's MAX_CATEGORIES-th heaviest.
 
-    Rows of equal length are cut together, by one ``np.partition`` of their
-    (rows x length) block of stored entries.
+    Rows of equal length are cut together, by one ``np.partition`` of a
+    (rows x length) block of their stored entries; a block holds at most
+    about ``_CUT_BLOCK_ENTRIES`` entries.
     """
     counts = np.diff(m.indptr)
     keep = np.ones(m.nnz, dtype=bool)
     lengths = np.flatnonzero(np.bincount(counts))
     for length in lengths[lengths > MAX_CATEGORIES]:
-        slots = m.indptr[:-1][counts == length][:, None] + np.arange(length)
-        weights = m.data[slots]
-        cut = length - MAX_CATEGORIES
-        keep[slots] = weights >= np.partition(weights, cut, axis=1)[:, cut, None]
+        starts = m.indptr[:-1][counts == length]
+        cut, step = length - MAX_CATEGORIES, max(1, _CUT_BLOCK_ENTRIES // length)
+        for lo in range(0, len(starts), step):
+            slots = starts[lo:lo + step, None] + np.arange(length)
+            weights = m.data[slots]
+            keep[slots] = weights >= np.partition(weights, cut, axis=1)[:, cut, None]
     if keep.all():
         return m
-    return sp.csr_matrix((m.data[keep], m.indices[keep],
-                          np.concatenate(([0], np.cumsum(keep)))[m.indptr]), shape=m.shape)
+    return sp.csr_matrix((m.data[keep], m.indices[keep], kept_indptr(keep, m.indptr)),
+                         shape=m.shape)
 
 
 def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
@@ -81,7 +86,7 @@ def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
     failed = np.cumsum(~passes)
     keep = failed == np.repeat(failed[starts], counts)
 
-    indptr = np.concatenate(([0], np.cumsum(keep)))[m.indptr]
+    indptr = kept_indptr(keep, m.indptr)
     ranked = sp.csr_matrix((w[keep], m.indices[order[keep]], indptr), shape=m.shape)
     ranked.data /= np.repeat(row_fsums(ranked), np.diff(indptr))
     ranked.sort_indices()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -146,6 +147,7 @@ def cmd_run(args) -> int:
             raise CliError(f"variants {labels[label]!r} and {token!r} both name {label}")
         labels[label] = token
     compare = _named_paths(args.compare or [], "--compare", labels.keys() | {"initial"})
+    t0 = time.perf_counter()
     scheme, corpus = _load_dir(args)
     comparisons = _read_classifications(compare, scheme, corpus)
     out = Path(args.out)
@@ -153,37 +155,46 @@ def cmd_run(args) -> int:
 
     log_lines = [f"refclass {__version__}",
                  f"papers={len(corpus)} references={len(corpus.ref_ids)}",
-                 f"min_refs={args.min_refs} threshold_mode={args.threshold_mode}"]
-    raw: dict[str, Classification] = {}
+                 f"min_refs={args.min_refs} threshold_mode={args.threshold_mode}",
+                 _stage_line("ingest", t0)]
+    # one weighting at a time: its raw classifications are dropped once its
+    # variants are written, unless a raw variant keeps one
+    report_inputs: dict[str, Classification] = {}
     for weight, config in configs.items():
         t0 = time.perf_counter()
         jl, u1 = run(corpus, config)
-        raw[f"JL-{weight}"] = jl
-        raw[f"U1-{weight}"] = u1
-        log_lines.append(
-            f"{weight}: iterations={jl.iterations_run} converged={jl.converged} "
-            f"stalled={jl.stalled} seconds={time.perf_counter() - t0:.2f}")
+        log_lines.append(f"{weight}: iterations={jl.iterations_run} "
+                         f"converged={jl.converged} stalled={jl.stalled}")
         log_lines.append(f"{weight}: residuals={jl.residual_trace}")
         if not jl.converged:
             log_lines.append(f"WARNING: {weight} run did not converge "
                              f"within {config.max_iterations} iterations")
             print(f"warning: {weight} run did not converge", file=sys.stderr)
+        log_lines.append(_stage_line(f"run-{weight}", t0))
+        t0 = time.perf_counter()
+        raw = {"JL": jl, "U1": u1}
+        for phase, w, prune in parsed:
+            if w == weight:
+                c = raw[phase] if prune is None else prune_classification(raw[phase], prune)
+                report_inputs[c.variant_label] = c
+                write_classification(c, scheme, out / f"{c.variant_label}.csv")
+        del jl, u1, raw
+        log_lines.append(_stage_line(f"prune-write-{weight}", t0))
 
-    produced: dict[str, Classification] = {}
-    for phase, weight, prune in parsed:
-        c = raw[f"{phase}-{weight}"]
-        if prune is not None:
-            c = prune_classification(c, prune)
-        produced[c.variant_label] = c
-        write_classification(c, scheme, out / f"{c.variant_label}.csv")
-
-    report_inputs = dict(produced)
+    t0 = time.perf_counter()
     report_inputs.update(comparisons)
     report_inputs["initial"] = _initial_classification(corpus, args.min_refs)
     write_report(out / "report", report_inputs, scheme, corpus=corpus,
                  origin="initial")
+    log_lines.append(_stage_line("report", t0))
     (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return 0
+
+
+def _stage_line(stage: str, t0: float) -> str:
+    """A run.log line: the stage's wall time since ``t0`` and the process's peak RSS so far."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return f"stage={stage} seconds={time.perf_counter() - t0:.2f} peak_rss_mib={peak:.0f}"
 
 
 def cmd_synth(args) -> int:

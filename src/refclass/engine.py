@@ -209,9 +209,15 @@ def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """``indptr`` of the rows that keep only the entries where ``keep`` is True."""
-    return np.concatenate(([0], np.cumsum(keep)))[indptr]
+def kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``indptr`` of the rows that keep only the entries where ``keep`` is True.
+
+    Counts the kept or the dropped entries before each row start, whichever
+    are fewer: 8 bytes per such entry, not per stored entry.
+    """
+    if 2 * np.count_nonzero(keep) <= len(keep):
+        return np.searchsorted(np.flatnonzero(keep), indptr)
+    return indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
 
 
 def _accumulate(blocks, scaled: np.ndarray, refs: np.ndarray) -> None:
@@ -263,7 +269,7 @@ class _Support:
         """The current rows as canonical CSR, without explicit zeros."""
         keep = self.values != 0
         return sp.csr_matrix((self.values[keep], self.indices[keep],
-                              _kept_indptr(keep, self.indptr)), shape=self.shape)
+                              kept_indptr(keep, self.indptr)), shape=self.shape)
 
     def propagate(self, blocks, refs: np.ndarray):
         """The support's entries of ``blocks`` @ ``refs``, rows scaled to unit sum.
@@ -282,7 +288,7 @@ class _Support:
         counts = self.counts
         if np.count_nonzero(new) < len(new):
             keep = new != 0
-            counts = np.diff(_kept_indptr(keep, p))
+            counts = np.diff(kept_indptr(keep, p))
             sums = _row_sums(new[keep], counts)
         else:
             sums = _row_sums(new, counts)
@@ -313,39 +319,48 @@ class _Support:
         self._spare, self.values = self.values, new
         if np.count_nonzero(new) < len(new):
             keep = new != 0
-            self.indptr = _kept_indptr(keep, self.indptr)
+            self.indptr = kept_indptr(keep, self.indptr)
             self.counts = np.diff(self.indptr)
-            self.indices, self.pos, self.scale, self.local, self.values = (
-                a[keep] for a in (self.indices, self.pos, self.scale, self.local, new))
+            for name in ("indices", "pos", "scale", "local", "values"):
+                setattr(self, name, getattr(self, name)[keep])  # one copy alive at a time
 
 
 def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
     """U1 rows as CSR: sums of cited reference rows, renormalized.
 
     ``blocks`` are the row blocks of the eligible papers x references
-    incidence.  A row whose sum vanishes takes ``prev``'s row and is
-    reported as stalled; scipy's sum then leaves the indices unsorted.
-    Returns (rows, stalled).
+    incidence.  A row whose sum vanishes takes ``prev``'s row, spliced in as
+    stored, and is reported as stalled.  Returns (rows, stalled).
     """
     n, k = prev.shape
     indices, data = np.empty(n * k, dtype=np.int32), np.empty(n * k)
     counts = np.zeros(n, dtype=np.int64)
+    zero = np.zeros(n, dtype=bool)
     end = 0
     for lo, block in blocks:
         hi = lo + block.shape[0]
         product = block @ refs
         keep = product != 0
-        counts[lo:hi] = np.count_nonzero(keep, axis=1)
+        c = np.count_nonzero(keep, axis=1)
         values, cols = product[keep], np.flatnonzero(keep) % k
-        values /= np.repeat(_row_sums(values, counts[lo:hi]), counts[lo:hi])
-        start, end = end, end + len(values)
-        data[start:end], indices[start:end] = values, cols
+        values /= np.repeat(_row_sums(values, c), c)
+        stalled = zero[lo:hi] = c == 0
+        if not stalled.any():
+            counts[lo:hi] = c
+            start, end = end, end + len(values)
+            data[start:end], indices[start:end] = values, cols
+            continue
+        held = np.diff(prev.indptr[lo:hi + 1])
+        counts[lo:hi] = np.where(stalled, held, c)
+        start, end = end, end + int(counts[lo:hi].sum())
+        fresh = np.repeat(~stalled, counts[lo:hi])
+        taken = prev.indptr[lo] + np.flatnonzero(np.repeat(stalled, held))
+        block_data, block_indices = data[start:end], indices[start:end]
+        block_data[fresh], block_indices[fresh] = values, cols
+        block_data[~fresh], block_indices[~fresh] = prev.data[taken], prev.indices[taken]
     indptr = np.concatenate(([0], np.cumsum(counts)))
     out = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, k))
     out.eliminate_zeros()
-    zero = counts == 0
-    if zero.any():
-        out = (out + sp.diags(zero.astype(float)) @ prev).tocsr()
     return out, zero
 
 
@@ -373,13 +388,15 @@ def run(corpus: Corpus, config: EngineConfig):
     if not config.include_ineligible_citers:
         scale[ref_counts < config.min_refs] = 0.0
 
+    # the row blocks hold each slot once: the matrices they are cut from are
+    # dropped as soon as they are cut
+    citing_blocks = _row_blocks(incidence.T.tocsr(), k)
+    paper_blocks = _row_blocks(incidence[elig_rows], k)
     # the loop's dense operands: every paper's current vector times its scale
     # (ineligible papers keep their journal vector) and the reference vectors
     scaled = w0.toarray()
     scaled *= scale[:, None]
-    refs = np.empty((corpus.citations.shape[0], k))
-    citing_blocks = _row_blocks(corpus.citations, k)
-    paper_blocks = _row_blocks(incidence[elig_rows], k)
+    refs = np.empty((incidence.shape[1], k))
     rows = w0[elig_rows]
     support = _Support(rows, elig_rows * k, scale[elig_rows], paper_blocks)
 
@@ -413,6 +430,7 @@ def run(corpus: Corpus, config: EngineConfig):
 
     jl = classification("JL", jl_rows, stalled)
     _accumulate(citing_blocks, scaled, refs)
+    del scaled, citing_blocks, rows  # _propagate reads none of them
     u1, zero = _propagate(paper_blocks, refs, jl_rows)
     return jl, classification("U1", u1, stalled + int(zero.sum()))
 

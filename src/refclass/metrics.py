@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .engine import Classification, row_fsums, weight_order
+from .engine import Classification, kept_indptr, row_fsums, weight_order
 from .scheme import CategoryScheme
 
 FORMULA_VERSIONS = {
@@ -237,9 +237,9 @@ def same_area_retention(home_area: np.ndarray, result: Classification,
     m = result.weights[rows]
     in_home = (_category_areas(scheme, m.shape[1])[m.indices]
                == areas[np.repeat(home, np.diff(m.indptr))])
-    indptr = np.concatenate(([0], np.cumsum(in_home)))[m.indptr]
-    inside = row_fsums(sp.csr_matrix((m.data[in_home], m.indices[in_home], indptr),
-                                     shape=m.shape))
+    inside = row_fsums(sp.csr_matrix(
+        (m.data[in_home], m.indices[in_home], kept_indptr(in_home, m.indptr)),
+        shape=m.shape))
     mass = np.bincount(home, weights=inside, minlength=len(areas))
     count = np.bincount(home, minlength=len(areas))
     return {int(area): 100.0 * float(mass[i]) / int(count[i])

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from refclass import assign
 from refclass.assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
 from refclass.engine import Classification
 
@@ -90,3 +92,22 @@ class TestPruneClassification:
         c = Classification.from_vectors("U1-F", {"p1": {0: 1.0}, "p2": vector})
         with pytest.raises(ValueError, match="paper p2: weight .* is not positive and finite"):
             prune_classification(c, PruneConfig(0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0]),
+                         min_size=1, max_size=9), max_size=12),
+       st.sampled_from([1, 7, 20, assign._CUT_BLOCK_ENTRIES]))
+def test_cut_keeps_exactly_the_entries_as_heavy_as_the_fifth(rows, budget):
+    # the cut against each row's own rule, with row-length groups split into
+    # blocks of at most ``budget`` entries (ties with the fifth heaviest stay)
+    c = Classification.from_vectors(
+        "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)})
+    with mock.patch.object(assign, "_CUT_BLOCK_ENTRIES", budget):
+        cut = assign._heaviest(c.weights)
+    assert cut.shape == c.weights.shape
+    for i, row in enumerate(rows):
+        fifth = sorted(row, reverse=True)[min(len(row), assign.MAX_CATEGORIES) - 1]
+        kept = [(col, w) for col, w in enumerate(row) if w >= fifth]
+        lo, hi = cut.indptr[i], cut.indptr[i + 1]
+        assert list(zip(cut.indices[lo:hi].tolist(), cut.data[lo:hi].tolist())) == kept

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import warnings
+import weakref
 
 import pytest
 
@@ -69,9 +70,56 @@ class TestRun:
         for variant in cli.ALL_VARIANTS:
             assert f"{variant}.csv" in files
             assert f"{variant}.csv.meta.json" in files
-        assert "threads" not in (out / "run.log").read_text()
+        log = (out / "run.log").read_text()
+        assert "threads" not in log
+        stages = [line.split() for line in log.splitlines() if line.startswith("stage=")]
+        assert [words[0] for words in stages] == [
+            "stage=ingest", "stage=run-NF", "stage=prune-write-NF", "stage=run-F",
+            "stage=prune-write-F", "stage=report"]
+        peaks = []
+        for _, seconds, peak in stages:
+            assert seconds.startswith("seconds=") and float(seconds[8:]) >= 0
+            assert peak.startswith("peak_rss_mib=")
+            peaks.append(int(peak[13:]))
+        assert 0 < peaks[0] and peaks == sorted(peaks)
         assert (out / "report" / "structure.csv").exists()
         assert (out / "report" / "retention.csv").exists()
+
+    def test_interleaved_variants_match_one_variant_runs(self, corpus_dir, tmp_path):
+        # raw and pruned variants of both weightings, interleaved: each weighting
+        # is run, pruned and written before the next, and every file is the one
+        # a run asking for that variant alone writes
+        variants = ["U1-NF-raw", "JL-F-0.8", "U1-NF-0.5", "JL-F"]
+        out = tmp_path / "all"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", ",".join(variants)]) == 0
+        labels = [v.removesuffix("-raw") for v in variants]
+        for variant, label in zip(variants, labels):
+            alone = tmp_path / variant
+            assert main(["run", "--dir", str(corpus_dir), "--out", str(alone),
+                         "--variants", variant]) == 0
+            for name in (f"{label}.csv", f"{label}.csv.meta.json"):
+                assert (out / name).read_bytes() == (alone / name).read_bytes()
+        meta = json.loads((out / "report" / "metadata.json").read_text())
+        assert meta["classifications"] == sorted(labels + ["initial"])
+
+    def test_raw_classifications_are_dropped_before_the_next_weighting(
+            self, corpus_dir, tmp_path, monkeypatch):
+        # when F runs, of NF's raw classifications only the requested raw
+        # variant is still alive
+        raws, alive_at_run = [], []
+
+        def run(corpus, config):
+            alive_at_run.append(sorted(r().variant_label for r in raws if r() is not None))
+            jl, u1 = engine_run(corpus, config)
+            raws.extend((weakref.ref(jl), weakref.ref(u1)))
+            return jl, u1
+
+        engine_run = cli.run
+        monkeypatch.setattr(cli, "run", run)
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "out"),
+                     "--variants", "U1-NF-raw,JL-NF-0.8,JL-F-0.8"]) == 0
+        assert alive_at_run == [[], ["U1-NF"]]
 
     def test_missing_out_is_an_error(self, corpus_dir, capsys):
         assert main(["run", "--dir", str(corpus_dir)]) == 1

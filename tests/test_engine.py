@@ -163,8 +163,10 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
     # the block kernels against scipy's products: _accumulate's dense rows are
     # the normalized a @ b; the JL step's rows the normalized product masked by
     # prev's support, _propagate's the unmasked one, with stalled rows taken
-    # from prev.  The JL step's rows are canonical: scipy's stall fallback
-    # leaves its rows in an order of its own, which every later use sorts
+    # from prev.  scipy's stall fallback leaves its rows in an order of its
+    # own, and _propagate's stalled rows keep prev's order: every later use
+    # sorts them, so both are compared in column order.  The JL step's rows
+    # are canonical as they are
     a, b, prev, masked = operands
     k = b.shape[1]
     refs, _ = scipy_row_normalize(sparse_product(a, b))
@@ -172,8 +174,7 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
                                                     else None))
     if zero.any():
         rows = (rows + sp.diags(zero.astype(float)) @ prev).tocsr()
-        if masked:
-            rows.sort_indices()
+        rows.sort_indices()
     for budget in (1, 2, k, engine._PRODUCT_BLOCK_ENTRIES):
         with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
             blocks = _row_blocks(a, k)
@@ -181,6 +182,8 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
             _accumulate(blocks, b.toarray(), dense)
             out, stalled = (jl_step(blocks, b.toarray(), prev) if masked
                             else _propagate(blocks, b.toarray(), prev))
+        if not masked:
+            out.sort_indices()
         assert np.array_equal(dense, refs.toarray())
         assert np.array_equal(stalled, zero)
         assert out.shape == rows.shape
@@ -427,7 +430,7 @@ class TestAccumulate:
         for row_scale in (np.ones(len(corpus)), inv):
             in_scope = np.zeros(len(corpus))
             in_scope[scope] = row_scale[scope]
-            kept = accumulate(corpus.citations, w0, in_scope)
+            kept = accumulate(incidence.T.tocsr(), w0, in_scope)
             dropped = accumulate(incidence[scope].T.tocsr(), w0[scope],
                                  row_scale[scope])
             for part in ("indptr", "indices", "data"):
