@@ -211,16 +211,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scheme, corpus = _load_dir(args)
+    configs = [_engine_config(args, fractional) for fractional in (False, True)]
+    _, corpus = _load_dir(args)
     worst = 0.0
-    for fractional in (False, True):
-        config = _engine_config(args, fractional)
-        jl, u1 = run(corpus, config)
+    for config in configs:
         try:
             oracle_jl, oracle_u1 = dense_run(corpus, config)
         except OracleSizeError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return 2
+        jl, u1 = run(corpus, config)
         for label, mine, ref in (("JL", jl.weights.toarray(), oracle_jl),
                                  ("U1", u1.weights.toarray(), oracle_u1)):
             diff = max_component_difference(mine, ref)

@@ -33,8 +33,8 @@ from .scheme import CategoryScheme, read_table
 DEFAULT_PER_PAPER_THRESHOLD = 9.243e-4
 ABSOLUTE_THRESHOLD = 3000.0
 
-# rows formatted per write call, which bounds the memory write_classification needs
-_WRITE_CHUNK_ROWS = 65536
+# entries formatted per write call, which bounds the memory write_classification needs
+_WRITE_CHUNK_ENTRIES = 65536
 # output entries per row block of the loop's dense products: small enough for a
 # block to stay in cache, which keeps the per-iteration cost linear in the paper count
 _PRODUCT_BLOCK_ENTRIES = 1 << 16
@@ -159,12 +159,6 @@ def row_fsums(m: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-def _canonical(m: sp.csr_matrix) -> sp.csr_matrix:
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return m
-
-
 def weight_order(m: sp.csr_matrix) -> np.ndarray:
     """Permutation of the stored entries by (row, descending weight, column).
 
@@ -220,25 +214,33 @@ def kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return indptr - np.searchsorted(np.flatnonzero(~keep), indptr)
 
 
+def _normalize(part: np.ndarray) -> None:
+    """Divide each row of dense ``part`` in place by the sum of its nonzeros.
+
+    A 2-D ``reduceat`` groups a row without zeros as the 1-D one groups it,
+    so only rows that hold a zero are compacted first; a row of zeros stays
+    zero.
+    """
+    sums = np.add.reduceat(part, [0], axis=1)[:, 0]
+    holds = ~part.all(axis=1)
+    if holds.any():
+        rows = part[holds]
+        nonzero = rows != 0
+        sums[holds] = _row_sums(rows[nonzero], np.count_nonzero(nonzero, axis=1))
+    part /= sums[:, None]
+
+
 def _accumulate(blocks, scaled: np.ndarray, refs: np.ndarray) -> None:
     """Fill ``refs`` with citations @ ``scaled`` by blocks, rows scaled to unit sum.
 
     An entry adds its terms in ascending paper order from zero, like scipy's
     sparse product; the zeros of ``scaled`` add exact zeros to these
-    non-negative sums.  A row is divided by the sum of its nonzeros: a 2-D
-    ``reduceat`` groups a row without zeros as the 1-D one groups it, so
-    only rows that hold a zero are compacted first.
+    non-negative sums.
     """
     for lo, block in blocks:
         part = refs[lo:lo + block.shape[0]]
         part[...] = block @ scaled
-        sums = np.add.reduceat(part, [0], axis=1)[:, 0]
-        holds = ~part.all(axis=1)
-        if holds.any():
-            rows = part[holds]
-            nonzero = rows != 0
-            sums[holds] = _row_sums(rows[nonzero], np.count_nonzero(nonzero, axis=1))
-        part /= sums[:, None]
+        _normalize(part)
 
 
 class _Support:
@@ -326,11 +328,11 @@ class _Support:
 
 
 def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
-    """U1 rows as CSR: sums of cited reference rows, renormalized.
+    """U1 rows as canonical CSR: sums of cited reference rows, renormalized.
 
     ``blocks`` are the row blocks of the eligible papers x references
-    incidence.  A row whose sum vanishes takes ``prev``'s row, spliced in as
-    stored, and is reported as stalled.  Returns (rows, stalled).
+    incidence.  A row whose sum vanishes takes ``prev``'s row and is
+    reported as stalled.  Returns (rows, stalled).
     """
     n, k = prev.shape
     indices, data = np.empty(n * k, dtype=np.int32), np.empty(n * k)
@@ -339,29 +341,17 @@ def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
     end = 0
     for lo, block in blocks:
         hi = lo + block.shape[0]
-        product = block @ refs
-        keep = product != 0
-        c = np.count_nonzero(keep, axis=1)
-        values, cols = product[keep], np.flatnonzero(keep) % k
-        values /= np.repeat(_row_sums(values, c), c)
-        stalled = zero[lo:hi] = c == 0
-        if not stalled.any():
-            counts[lo:hi] = c
-            start, end = end, end + len(values)
-            data[start:end], indices[start:end] = values, cols
-            continue
-        held = np.diff(prev.indptr[lo:hi + 1])
-        counts[lo:hi] = np.where(stalled, held, c)
+        part = block @ refs
+        stalled = zero[lo:hi] = ~part.any(axis=1)
+        _normalize(part)
+        if stalled.any():
+            part[stalled] = prev[lo:hi][stalled].toarray()
+        keep = part != 0  # also drops a value that the division rounded to zero
+        counts[lo:hi] = np.count_nonzero(keep, axis=1)
         start, end = end, end + int(counts[lo:hi].sum())
-        fresh = np.repeat(~stalled, counts[lo:hi])
-        taken = prev.indptr[lo] + np.flatnonzero(np.repeat(stalled, held))
-        block_data, block_indices = data[start:end], indices[start:end]
-        block_data[fresh], block_indices[fresh] = values, cols
-        block_data[~fresh], block_indices[~fresh] = prev.data[taken], prev.indices[taken]
+        data[start:end], indices[start:end] = part[keep], np.flatnonzero(keep) % k
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    out = sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, k))
-    out.eliminate_zeros()
-    return out, zero
+    return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, k)), zero
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +410,7 @@ def run(corpus: Corpus, config: EngineConfig):
         return Classification(
             variant_label=f"{phase}-{config.weight_label}",
             paper_ids=elig_ids,
-            weights=_canonical(w),
+            weights=w,
             unreclassified=unreclassified,
             iterations_run=iterations,
             residual_trace=list(trace),
@@ -460,13 +450,11 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
     order = weight_order(w)
     codes = np.array([cat.code for cat in scheme.categories])[w.indices[order]]
     data = w.data[order]
-    bounds = w.indptr
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("paper_id,category_code,weight\n")
-        for start in range(0, len(pids), _WRITE_CHUNK_ROWS):
-            stop = min(start + _WRITE_CHUNK_ROWS, len(pids))
-            lo, hi = bounds[start], bounds[stop]
-            rows = np.repeat(np.arange(start, stop), np.diff(bounds[start:stop + 1]))
+        for lo in range(0, w.nnz, _WRITE_CHUNK_ENTRIES):
+            hi = min(lo + _WRITE_CHUNK_ENTRIES, w.nnz)
+            rows = np.searchsorted(w.indptr, np.arange(lo, hi), side="right") - 1
             fh.writelines(
                 f"{pids[r]},{code},{wt!r}\n"
                 for r, code, wt in zip(rows.tolist(), codes[lo:hi].tolist(),

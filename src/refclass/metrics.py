@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus
 from .engine import Classification, kept_indptr, row_fsums, weight_order
 from .scheme import CategoryScheme
 
@@ -77,44 +76,38 @@ def granularity(c: Classification) -> float:
     """Paper count divided by the sum of squared category sizes."""
     if not c.paper_ids:
         raise ValueError("empty classification")
-    sizes = category_sizes(c)
-    return len(c.paper_ids) / math.fsum(s * s for s in sizes.values())
+    sizes = _column_sums(c.weights, c.weights.shape[1])
+    return len(c.paper_ids) / math.fsum((sizes * sizes).tolist())
 
 
 def size_cv(c: Classification) -> float:
     """Coefficient of variation of the non-empty category sizes."""
-    sizes = np.array(list(category_sizes(c).values()))
+    sizes = _column_sums(c.weights, c.weights.shape[1])
+    sizes = sizes[sizes > 0]
     if sizes.size == 0:
         raise ValueError("empty classification")
     mean = sizes.mean()
     return float(sizes.std() / mean)
 
 
-def refs_per_paper_acv(c: Classification, corpus: Corpus) -> float:
+def refs_per_paper_acv(c: Classification, ref_counts: np.ndarray) -> float:
     """Average over categories of the membership-weighted CV of reference counts.
 
-    Papers contribute to a category with their assignment weight there.
-    Categories with zero total weight or zero mean count are skipped.
+    ``ref_counts[i]`` is the reference count of ``c``'s row ``i``.  Papers
+    contribute to a category with their assignment weight there.  Categories
+    with zero total weight or zero mean count are skipped.
     """
-    rows = corpus.rows_of(c.paper_ids)
     m = c.weights
-    n = np.repeat(corpus.ref_counts[rows].astype(float), np.diff(m.indptr))
-    k = m.shape[1]
-    sw = np.bincount(m.indices, weights=m.data, minlength=k)
-    swn = np.bincount(m.indices, weights=m.data * n, minlength=k)
-    swn2 = np.bincount(m.indices, weights=m.data * n * n, minlength=k)
-    cvs = []
-    for idx in range(k):
-        if sw[idx] <= 0:
-            continue
-        mean = swn[idx] / sw[idx]
-        if mean <= 0:
-            continue
-        var = max(swn2[idx] / sw[idx] - mean * mean, 0.0)
-        cvs.append(math.sqrt(var) / mean)
-    if not cvs:
+    n = np.repeat(ref_counts.astype(float), np.diff(m.indptr))
+    sw, swn, swn2 = (np.bincount(m.indices, weights=w, minlength=m.shape[1])
+                     for w in (m.data, m.data * n, m.data * n * n))
+    used = np.flatnonzero(sw > 0)
+    mean = swn[used] / sw[used]
+    used, mean = used[mean > 0], mean[mean > 0]
+    if not len(used):
         raise ValueError("no category with positive weighted mean reference count")
-    return float(np.mean(cvs))
+    var = np.maximum(swn2[used] / sw[used] - mean * mean, 0.0)
+    return float(np.mean(np.sqrt(var) / mean))
 
 
 def coincidence_percentage(a: Classification, b: Classification) -> float:
@@ -201,12 +194,13 @@ def category_correlation(a: Classification, b: Classification,
 
 def area_aggregate(c: Classification, scheme: CategoryScheme) -> dict[int, float]:
     """Percentage of total weight accumulated in each area."""
-    sizes = category_sizes(c)
-    total = math.fsum(sizes.values())
-    out = {area: 0.0 for area in scheme.area_codes}
-    for idx, s in sizes.items():
-        out[scheme.area_of_index(idx)] += s
-    return {area: 100.0 * s / total for area, s in out.items()}
+    k = c.weights.shape[1]
+    sizes = _column_sums(c.weights, k)
+    total = math.fsum(sizes.tolist())
+    codes = scheme.area_codes
+    mass = np.bincount(np.searchsorted(codes, _category_areas(scheme, k)), weights=sizes,
+                       minlength=len(codes))
+    return {area: 100.0 * s / total for area, s in zip(codes, mass.tolist())}
 
 
 def area_flow(origin: Classification, result: Classification,

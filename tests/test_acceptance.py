@@ -346,7 +346,8 @@ def test_metrics_match_independent_brute_force(tmp_path):
             continue
         var = float((w * (counts - mean) ** 2).sum() / w.sum())
         cvs.append(math.sqrt(max(var, 0.0)) / mean)
-    errors["refs-acv"] = abs(refs_per_paper_acv(a, corpus) - float(np.mean(cvs)))
+    errors["refs-acv"] = abs(refs_per_paper_acv(
+        a, corpus.ref_counts[corpus.rows_of(a.paper_ids)]) - float(np.mean(cvs)))
 
     errors["coincidence"] = abs(
         coincidence_percentage(a, b)

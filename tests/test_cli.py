@@ -9,6 +9,7 @@ import pytest
 from refclass import cli
 from refclass.assign import PruneConfig
 from refclass.cli import main, parse_variant
+from refclass.corpus import Corpus
 from refclass.engine import read_classification
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
@@ -120,6 +121,22 @@ class TestRun:
         assert main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "out"),
                      "--variants", "U1-NF-raw,JL-NF-0.8,JL-F-0.8"]) == 0
         assert alive_at_run == [[], ["U1-NF"]]
+
+    def test_report_looks_up_each_paper_id_tuple_once(self, corpus_dir, tmp_path,
+                                                      monkeypatch, one_paper_table):
+        # both engine runs and initial hold the same paper ids: one lookup for
+        # them, one for the compare table, and one when the table is read
+        calls = []
+
+        def rows_of(corpus, paper_ids):
+            calls.append(len(paper_ids))
+            return corpus_rows_of(corpus, paper_ids)
+
+        corpus_rows_of = Corpus.rows_of
+        monkeypatch.setattr(Corpus, "rows_of", rows_of)
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "out"),
+                     "--compare", f"x={one_paper_table}"]) == 0
+        assert len(calls) <= 3, calls
 
     def test_missing_out_is_an_error(self, corpus_dir, capsys):
         assert main(["run", "--dir", str(corpus_dir)]) == 1
@@ -257,6 +274,9 @@ class TestRun:
         assert main(["run", "--dir", str(corpus_dir), "--out", str(out)] + flags) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+        if "--variants" not in flags:  # the settings oracle takes
+            assert main(["oracle", "--dir", str(corpus_dir)] + flags) == 1
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("variants, first, second, label", [
         ("JL-F-0.8,JL-F-0.80,U1-NF,U1-NF-raw", "JL-F-0.8", "JL-F-0.80", "JL-F-0.8"),
@@ -352,7 +372,11 @@ class TestOracleCommand:
         assert captured.out.splitlines()[-1].startswith("PASS")
 
     def test_refuses_oversized_corpus(self, tmp_path, capsys, monkeypatch):
+        def no_run(corpus, config):
+            raise AssertionError("the engine ran")
+
         monkeypatch.setattr("refclass.oracle.ORACLE_MAX_PAPERS", 10)
+        monkeypatch.setattr(cli, "run", no_run)
         big = tmp_path / "big"
         generate(SynthParams(n_papers=30, n_categories=3, seed=1)).write(big)
         assert main(["oracle", "--dir", str(big)]) == 2

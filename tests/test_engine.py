@@ -310,6 +310,11 @@ def test_run_equals_sparse_step_composition_bit_for_bit(corpus, config, budget):
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(c.weights, part), getattr(rows, part)), part
         assert c.residual_trace == trace
+        # canonical as built: strictly increasing indices in each row, no stored zero
+        w = c.weights
+        assert all((np.diff(w.indices[lo:hi]) > 0).all()
+                   for lo, hi in zip(w.indptr, w.indptr[1:]))
+        assert (w.data != 0).all()
     assert (jl.stalled, u1.stalled) == (jl_stalled, stalled)
 
 

@@ -1,4 +1,5 @@
-"""Memory gates: traced allocations of the prune and of run(), measured with tracemalloc.
+"""Memory gates: traced allocations of the prune, of run() and of the writer,
+measured with tracemalloc.
 
 numpy reports its buffers to tracemalloc, so these peaks count every array a
 stage holds at once; they involve no clock and give the same verdict on
@@ -13,9 +14,11 @@ import scipy.sparse as sp
 
 from refclass.assign import PruneConfig, prune_classification
 from refclass.corpus import load_corpus
-from refclass.engine import Classification, EngineConfig, run
+from refclass.engine import Classification, EngineConfig, run, write_classification
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
+
+from conftest import build_scheme
 
 
 def traced(fn, *args):
@@ -29,6 +32,14 @@ def traced(fn, *args):
     return result, peak, held
 
 
+def dense_classification(n, k):
+    """A raw U1-like classification whose n rows all hold every one of k categories."""
+    weights = np.random.default_rng(0).random((n, k)) + 1e-3
+    weights /= weights.sum(axis=1)[:, None]
+    return Classification("U1-F", tuple(f"p{i:05d}" for i in range(n)),
+                          sp.csr_matrix(weights))
+
+
 @pytest.mark.parametrize("threshold", [0.5, 0.8])
 def test_prune_of_dense_rows_allocates_a_fraction_of_its_input(threshold):
     # every row holds all 285 categories: the cut to each row's five heaviest
@@ -36,9 +47,7 @@ def test_prune_of_dense_rows_allocates_a_fraction_of_its_input(threshold):
     # than half of its input's data and indices (2.75 times them when a
     # row-length group was cut as one block)
     n, k = 2000, 285
-    weights = np.random.default_rng(0).random((n, k)) + 1e-3
-    weights /= weights.sum(axis=1)[:, None]
-    c = Classification("U1-F", tuple(f"p{i:05d}" for i in range(n)), sp.csr_matrix(weights))
+    c = dense_classification(n, k)
     pruned, peak, _ = traced(prune_classification, c, PruneConfig(threshold))
     out = pruned.weights
     assert out.shape == (n, k) and np.diff(out.indptr).max() <= 5
@@ -63,3 +72,14 @@ def test_run_peak_on_dense_rows_is_bounded_in_dense_matrices(tmp_path):
     (jl, u1), peak, _ = traced(run, corpus, config)
     assert u1.weights.nnz > 0.9 * len(corpus) * 285
     assert peak <= 4.4 * len(corpus) * 285 * 8
+
+
+def test_write_of_dense_rows_is_bounded_by_entries(tmp_path):
+    # 570,000 entries: the writer formats at most 2^16 entries at a time, so
+    # its traced peak is 3.2 times the input's data and indices (11.7 times
+    # when a chunk was 2^16 rows, here every entry at once)
+    n, k = 2000, 285
+    c = dense_classification(n, k)
+    scheme = build_scheme([(1102 + i, 1100) for i in range(k)])
+    _, peak, _ = traced(write_classification, c, scheme, tmp_path / "U1-F.csv")
+    assert peak <= 4 * (c.weights.data.nbytes + c.weights.indices.nbytes)

@@ -74,12 +74,14 @@ class TestRefsAcv:
     def test_identical_counts_give_zero(self):
         corpus = self.make_corpus([4, 4, 4])
         c = classification({p: {0: 1.0} for p in corpus.paper_ids})
-        assert refs_per_paper_acv(c, corpus) == pytest.approx(0.0)
+        assert refs_per_paper_acv(
+            c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) == pytest.approx(0.0)
 
     def test_counts_two_and_four(self):
         corpus = self.make_corpus([2, 4])
         c = classification({p: {0: 1.0} for p in corpus.paper_ids})
-        assert refs_per_paper_acv(c, corpus) == pytest.approx(1 / 3)
+        assert refs_per_paper_acv(
+            c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) == pytest.approx(1 / 3)
 
     def test_fractional_membership_matches_brute_force(self):
         corpus = self.make_corpus([2, 5, 9])
@@ -95,7 +97,8 @@ class TestRefsAcv:
             mean = float((w * n).sum() / w.sum())
             var = float((w * (n - mean) ** 2).sum() / w.sum())
             cvs.append(math.sqrt(var) / mean)
-        assert refs_per_paper_acv(c, corpus) == pytest.approx(np.mean(cvs), abs=1e-12)
+        assert refs_per_paper_acv(c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) \
+            == pytest.approx(np.mean(cvs), abs=1e-12)
 
 
 
