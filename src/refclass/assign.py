@@ -6,10 +6,10 @@ always kept; each further entry survives only while its weight is at least
 threshold times the previous kept weight and the cap of MAX_CATEGORIES is
 not exceeded.  Kept weights are renormalized to sum 1.
 
-The kept entries are a rank prefix of at most MAX_CATEGORIES, so a row is
-first cut to the entries at least as heavy as its MAX_CATEGORIES-th
-heaviest (ties kept), and only those are ranked.  The cut needs positive
-finite weights: prune_classification rejects any other.
+The kept entries are a rank prefix of at most MAX_CATEGORIES, so the prune
+ranks only each row's first MAX_CATEGORIES entries, with
+``engine.weight_order``; there is no separate cut.  That ranking compares
+weights, so prune_classification rejects any that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ MAX_CATEGORIES = 5
 # Relative slack on the ratio test so that renormalization rounding cannot
 # flip a pair sitting exactly on the threshold; keeps pruning idempotent.
 _RATIO_EPS = 1e-12
-# stored entries per block of the cut: bounds the temporaries of a row-length group
-_CUT_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -45,50 +43,24 @@ class PruneConfig:
         return f"{self.threshold:g}"
 
 
-def _heaviest(m: sp.csr_matrix) -> sp.csr_matrix:
-    """``m`` without the entries lighter than their row's MAX_CATEGORIES-th heaviest.
-
-    Rows of equal length are cut together, by one ``np.partition`` of a
-    (rows x length) block of their stored entries; a block holds at most
-    about ``_CUT_BLOCK_ENTRIES`` entries.
-    """
-    counts = np.diff(m.indptr)
-    keep = np.ones(m.nnz, dtype=bool)
-    lengths = np.flatnonzero(np.bincount(counts))
-    for length in lengths[lengths > MAX_CATEGORIES]:
-        starts = m.indptr[:-1][counts == length]
-        cut, step = length - MAX_CATEGORIES, max(1, _CUT_BLOCK_ENTRIES // length)
-        for lo in range(0, len(starts), step):
-            slots = starts[lo:lo + step, None] + np.arange(length)
-            weights = m.data[slots]
-            keep[slots] = weights >= np.partition(weights, cut, axis=1)[:, cut, None]
-    if keep.all():
-        return m
-    return sp.csr_matrix((m.data[keep], m.indices[keep], kept_indptr(keep, m.indptr)),
-                         shape=m.shape)
-
-
 def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
     """Prune every row of a papers x categories CSR matrix in one pass."""
     if (np.diff(m.indptr) == 0).any():
         raise ValueError("cannot prune an empty vector")
-    m = _heaviest(m)
-    counts = np.diff(m.indptr)
-    order = weight_order(m)
+    order, indptr = weight_order(m, MAX_CATEGORIES)
     w = m.data[order]
-    starts = m.indptr[:-1]
+    starts = indptr[:-1]
     # entry i passes when it follows its predecessor in rank closely enough;
     # a row keeps its entries up to (not including) the first that fails
     passes = np.empty(len(w), dtype=bool)
     passes[1:] = w[1:] >= (config.threshold * w[:-1]) * (1.0 - _RATIO_EPS)
     passes[starts] = True
-    passes &= np.arange(len(w)) - np.repeat(starts, counts) < MAX_CATEGORIES
     failed = np.cumsum(~passes)
-    keep = failed == np.repeat(failed[starts], counts)
+    keep = failed == np.repeat(failed[starts], np.diff(indptr))
 
-    indptr = kept_indptr(keep, m.indptr)
-    ranked = sp.csr_matrix((w[keep], m.indices[order[keep]], indptr), shape=m.shape)
-    ranked.data /= np.repeat(row_fsums(ranked), np.diff(indptr))
+    kept = kept_indptr(keep, indptr)
+    ranked = sp.csr_matrix((w[keep], m.indices[order[keep]], kept), shape=m.shape)
+    ranked.data /= np.repeat(row_fsums(ranked), np.diff(kept))
     ranked.sort_indices()
     return ranked
 

@@ -124,8 +124,9 @@ def _read_classifications(paths: dict[str, str], scheme, corpus=None):
 
 def _initial_classification(corpus, min_refs: int) -> Classification:
     """The journal vectors of the papers with at least ``min_refs`` references."""
-    rows, eligible, unreclassified = eligible_rows(corpus, min_refs)
-    return Classification("initial", eligible, corpus.matrices()[1][rows], unreclassified)
+    rows, eligible = eligible_rows(corpus, min_refs)
+    return Classification("initial", eligible, corpus.matrices()[1][rows],
+                          unreclassified=len(corpus) - len(eligible))
 
 
 def cmd_run(args) -> int:

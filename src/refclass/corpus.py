@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, repeat
 
@@ -50,6 +50,7 @@ class Corpus:
     incidence: sp.csr_matrix
     initial: sp.csr_matrix
     ref_counts: np.ndarray
+    _rows_by_ids: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.paper_ids)
@@ -62,25 +63,28 @@ class Corpus:
     def _row_of(self) -> dict[str, int]:
         return dict(zip(self.paper_ids, range(len(self.paper_ids))))
 
-    def rows_of(self, paper_ids) -> np.ndarray:
-        """The rows of ``paper_ids``; CorpusError names the first one not in the corpus."""
-        rows = np.fromiter(map(self._row_of.get, paper_ids, repeat(-1)), np.intp,
-                           len(paper_ids))
-        missing = np.flatnonzero(rows < 0)
-        if len(missing):
-            raise CorpusError(f"paper_id {paper_ids[missing[0]]} is not in the corpus")
+    def rows_of(self, paper_ids: tuple[str, ...]) -> np.ndarray:
+        """The rows of ``paper_ids``, read-only and kept per tuple: equal tuples
+        share one lookup.  CorpusError names the first id not in the corpus."""
+        rows = self._rows_by_ids.get(paper_ids)
+        if rows is None:
+            rows = np.fromiter(map(self._row_of.get, paper_ids, repeat(-1)), np.intp,
+                               len(paper_ids))
+            missing = np.flatnonzero(rows < 0)
+            if len(missing):
+                raise CorpusError(f"paper_id {paper_ids[missing[0]]} is not in the corpus")
+            rows.flags.writeable = False
+            self._rows_by_ids[paper_ids] = rows
         return rows
 
 
 def eligible_rows(corpus: Corpus, min_refs: int = DEFAULT_MIN_REFS):
-    """Split the corpus at ``min_refs`` reference slots.
+    """The rows of the papers with at least ``min_refs`` reference slots, and their ids.
 
-    Returns the rows of the eligible papers, their ids, and the ids of the
-    other (unreclassified) papers.
+    The other papers are the unreclassified ones.
     """
-    ids = np.array(corpus.paper_ids, dtype=object)
-    eligible = corpus.ref_counts >= min_refs
-    return np.flatnonzero(eligible), tuple(ids[eligible]), frozenset(ids[~eligible])
+    rows = np.flatnonzero(corpus.ref_counts >= min_refs)
+    return rows, tuple(np.array(corpus.paper_ids, dtype=object)[rows])
 
 
 def misc_exclusive_papers(corpus: Corpus) -> np.ndarray:

@@ -35,6 +35,8 @@ ABSOLUTE_THRESHOLD = 3000.0
 
 # entries formatted per write call, which bounds the memory write_classification needs
 _WRITE_CHUNK_ENTRIES = 65536
+# stored entries per block of weight_order: bounds the temporaries of a row-length group
+_RANK_BLOCK_ENTRIES = 1 << 16
 # output entries per row block of the loop's dense products: small enough for a
 # block to stay in cache, which keeps the per-iteration cost linear in the paper count
 _PRODUCT_BLOCK_ENTRIES = 1 << 16
@@ -95,7 +97,7 @@ class Classification:
     variant_label: str
     paper_ids: tuple[str, ...]
     weights: sp.csr_matrix
-    unreclassified: frozenset[str] = frozenset()
+    unreclassified: int = 0  # papers of the corpus left out for too few references
     iterations_run: int = 0
     residual_trace: list[float] = field(default_factory=list)
     converged: bool = True
@@ -108,7 +110,6 @@ class Classification:
 
     @classmethod
     def from_vectors(cls, label: str, vectors: dict[str, dict[int, float]],
-                     unreclassified: frozenset[str] = frozenset(),
                      **meta) -> Classification:
         """Build from paper id -> {category index: weight} maps.
 
@@ -125,7 +126,7 @@ class Classification:
         weights = sp.csr_matrix(
             (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
             shape=(len(pids), max(indices, default=-1) + 1))
-        return cls(label, tuple(pids), weights, frozenset(unreclassified), **meta)
+        return cls(label, tuple(pids), weights, **meta)
 
     @property
     def vectors(self) -> Mapping[str, dict[int, float]]:
@@ -159,21 +160,45 @@ def row_fsums(m: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-def weight_order(m: sp.csr_matrix) -> np.ndarray:
-    """Permutation of the stored entries by (row, descending weight, column).
+def weight_order(m: sp.csr_matrix, limit: int | None = None):
+    """Each row's first ``limit`` stored entries by descending weight.
 
-    ``m`` must have sorted indices: the sort is stable, so ties keep their
-    ascending column order.  Rows of equal length are sorted together as
-    one (rows x length) block of their stored entries.
+    Ties rank by ascending column.  Returns (the positions of those entries
+    in ``m``'s stored order, row by row; their row pointers).  ``m`` must
+    have sorted indices, and ``limit`` None ranks every entry.  Rows of equal
+    length are ranked together in (rows x length) blocks of at most about
+    ``_RANK_BLOCK_ENTRIES`` entries.  A row longer than ``limit`` is first cut
+    by one ``np.partition``: ties at the cut go to the lowest columns.
     """
     counts = np.diff(m.indptr)
-    order = np.empty(m.nnz, dtype=np.intp)
+    indptr = m.indptr if limit is None else np.concatenate(
+        ([0], np.cumsum(np.minimum(counts, limit))))
+    order = np.empty(indptr[-1], dtype=np.intp)
     lengths = np.flatnonzero(np.bincount(counts))
     for length in lengths[lengths > 0]:
-        starts = m.indptr[:-1][counts == length][:, None]
-        slots = starts + np.arange(length)
-        order[slots] = starts + np.argsort(-m.data[slots], axis=1, kind="stable")
-    return order
+        rows = np.flatnonzero(counts == length)
+        kept = length if limit is None else min(length, limit)
+        step = max(1, _RANK_BLOCK_ENTRIES // length)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            slots = m.indptr[block][:, None] + np.arange(length)
+            weights = m.data[slots]
+            dest = slots if limit is None else indptr[block][:, None] + np.arange(kept)
+            if kept < length:
+                # each row's kept-th heaviest weight
+                cut = np.partition(weights, length - kept, axis=1)[:, length - kept, None]
+                take = weights >= cut
+                # a row whose ties cross the cut takes them in column order
+                over = np.flatnonzero(np.count_nonzero(take, axis=1) > kept)
+                if len(over):
+                    ties = weights[over] == cut[over]
+                    spare = kept - np.count_nonzero(weights[over] > cut[over], axis=1)
+                    take[over] &= ~ties | (np.cumsum(ties, axis=1) <= spare[:, None])
+                slots, weights = slots[take].reshape(-1, kept), weights[take].reshape(-1, kept)
+            rank = np.argsort(-weights, axis=1, kind="stable")
+            order[dest] = (slots[:, :1] + rank if kept == length
+                           else np.take_along_axis(slots, rank, axis=1))
+    return order, indptr
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +390,7 @@ def run(corpus: Corpus, config: EngineConfig):
     """
     incidence, w0, ref_counts = corpus.matrices()
     k = w0.shape[1]
-    elig_rows, elig_ids, unreclassified = eligible_rows(corpus, config.min_refs)
+    elig_rows, elig_ids = eligible_rows(corpus, config.min_refs)
     if not len(elig_rows):
         raise EngineError("no eligible papers")
 
@@ -411,7 +436,7 @@ def run(corpus: Corpus, config: EngineConfig):
             variant_label=f"{phase}-{config.weight_label}",
             paper_ids=elig_ids,
             weights=w,
-            unreclassified=unreclassified,
+            unreclassified=len(corpus) - len(elig_ids),
             iterations_run=iterations,
             residual_trace=list(trace),
             converged=converged,
@@ -447,18 +472,20 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
     joined = "".join(pids)
     if "," in joined or '"' in joined:
         pids = list(map(_csv_field, pids))
-    order = weight_order(w)
-    codes = np.array([cat.code for cat in scheme.categories])[w.indices[order]]
-    data = w.data[order]
+    codes = np.array([cat.code for cat in scheme.categories])
+    # row chunks of about _WRITE_CHUNK_ENTRIES entries, each ranked on its own
+    bounds = np.searchsorted(w.indptr, np.arange(0, w.nnz, _WRITE_CHUNK_ENTRIES))
+    bounds = np.unique(np.append(bounds, w.shape[0])).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("paper_id,category_code,weight\n")
-        for lo in range(0, w.nnz, _WRITE_CHUNK_ENTRIES):
-            hi = min(lo + _WRITE_CHUNK_ENTRIES, w.nnz)
-            rows = np.searchsorted(w.indptr, np.arange(lo, hi), side="right") - 1
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = w[lo:hi]
+            order, _ = weight_order(part)
+            rows = np.repeat(np.arange(lo, hi), np.diff(part.indptr))
             fh.writelines(
                 f"{pids[r]},{code},{wt!r}\n"
-                for r, code, wt in zip(rows.tolist(), codes[lo:hi].tolist(),
-                                       data[lo:hi].tolist()))
+                for r, code, wt in zip(rows.tolist(), codes[part.indices[order]].tolist(),
+                                       part.data[order].tolist()))
     meta = {
         "variant": c.variant_label,
         "iterations_run": c.iterations_run,
@@ -466,7 +493,7 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
         "converged": c.converged,
         "stalled": c.stalled,
         "papers": len(c.paper_ids),
-        "unreclassified": len(c.unreclassified),
+        "unreclassified": c.unreclassified,
     }
     sidecar_path(path).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -539,4 +566,5 @@ def read_classification(path, scheme: CategoryScheme,
         iterations_run=meta.get("iterations_run", 0),
         residual_trace=meta.get("residual_trace", []),
         converged=meta.get("converged", True),
-        stalled=meta.get("stalled", 0))
+        stalled=meta.get("stalled", 0),
+        unreclassified=meta.get("unreclassified", 0))

@@ -135,7 +135,7 @@ def _ranks(m: sp.csr_matrix):
     Ranks follow descending weight, ties by ascending column; the rank
     array is in stored-entry order.
     """
-    order = weight_order(m)
+    order, _ = weight_order(m)
     starts = m.indptr[:-1]
     ranks = np.empty(m.nnz, dtype=np.int64)
     ranks[order] = np.arange(m.nnz) - np.repeat(starts, np.diff(m.indptr)) + 1

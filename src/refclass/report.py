@@ -55,16 +55,11 @@ def write_report(out_dir, classifications: dict[str, Classification],
     written.append("structure.csv")
 
     if corpus is not None:
-        # equal paper id tuples (both engine runs and initial) share one lookup
-        rows_by_ids, corpus_rows = {}, {}
+        rows = []
         for name in names:
-            ids = classifications[name].paper_ids
-            if ids not in rows_by_ids:
-                rows_by_ids[ids] = corpus.rows_of(ids)
-            corpus_rows[name] = rows_by_ids[ids]
-        rows = [(name, metrics.refs_per_paper_acv(classifications[name],
-                                                  corpus.ref_counts[corpus_rows[name]]))
-                for name in names]
+            c = classifications[name]
+            rows.append((name, metrics.refs_per_paper_acv(
+                c, corpus.ref_counts[corpus.rows_of(c.paper_ids)])))
         _write_table(out / "acv.csv", ("classification", "acv_all"), rows)
         written.append("acv.csv")
 
@@ -119,7 +114,7 @@ def write_report(out_dir, classifications: dict[str, Classification],
             for name in names:
                 c = classifications[name]
                 retention = metrics.same_area_retention(
-                    home_area[corpus_rows[name]], c, scheme)
+                    home_area[corpus.rows_of(c.paper_ids)], c, scheme)
                 for area, pct in retention.items():
                     rows.append((name, area, pct))
             _write_table(out / "retention.csv",

@@ -440,9 +440,10 @@ def test_short_reference_papers_reported_unreclassified(tmp_path):
 
     _, corpus = _load(paths)
     jl, u1 = run(corpus, EngineConfig(fractional=True))
-    reported = len(jl.unreclassified) / len(corpus)
-    ok = (set(jl.unreclassified) == planted_short
-          and set(u1.unreclassified) == planted_short
+    reported = jl.unreclassified / len(corpus)
+    ok = (set(corpus.paper_ids) - set(jl.paper_ids) == planted_short
+          and set(corpus.paper_ids) - set(u1.paper_ids) == planted_short
+          and jl.unreclassified == u1.unreclassified == len(planted_short)
           and reported == expected and planted_short)
     _report("eligibility-reporting", ok,
             f"planted {expected:.4f}, reported {reported:.4f}")

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refclass import assign
+from refclass import assign, engine
 from refclass.assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
 from refclass.engine import Classification
 
@@ -97,17 +97,22 @@ class TestPruneClassification:
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0]),
                          min_size=1, max_size=9), max_size=12),
-       st.sampled_from([1, 7, 20, assign._CUT_BLOCK_ENTRIES]))
-def test_cut_keeps_exactly_the_entries_as_heavy_as_the_fifth(rows, budget):
-    # the cut against each row's own rule, with row-length groups split into
-    # blocks of at most ``budget`` entries (ties with the fifth heaviest stay)
-    c = Classification.from_vectors(
-        "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)})
-    with mock.patch.object(assign, "_CUT_BLOCK_ENTRIES", budget):
-        cut = assign._heaviest(c.weights)
-    assert cut.shape == c.weights.shape
-    for i, row in enumerate(rows):
-        fifth = sorted(row, reverse=True)[min(len(row), assign.MAX_CATEGORIES) - 1]
-        kept = [(col, w) for col, w in enumerate(row) if w >= fifth]
-        lo, hi = cut.indptr[i], cut.indptr[i + 1]
-        assert list(zip(cut.indices[lo:hi].tolist(), cut.data[lo:hi].tolist())) == kept
+       st.sampled_from([1, 7, 20, engine._RANK_BLOCK_ENTRIES]))
+def test_weight_order_limit_is_a_prefix_of_the_full_ranking(rows, budget):
+    # rows with many equal weights, row-length groups ranked in blocks of at
+    # most ``budget`` entries: the full ranking follows (descending weight,
+    # column), and a cut row keeps exactly its first ``limit`` places, ties
+    # at the cut going to the lowest columns
+    m = Classification.from_vectors(
+        "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)}).weights
+    with mock.patch.object(engine, "_RANK_BLOCK_ENTRIES", budget):
+        full, indptr = engine.weight_order(m)
+        assert indptr is m.indptr
+        for i, row in enumerate(rows):
+            lo, hi = indptr[i], indptr[i + 1]
+            assert (full[lo:hi] - lo).tolist() == sorted(range(len(row)),
+                                                         key=lambda j: (-row[j], j))
+        for limit in (1, assign.MAX_CATEGORIES, None):
+            order, cut = engine.weight_order(m, limit)
+            assert [order[a:b].tolist() for a, b in zip(cut[:-1], cut[1:])] == [
+                full[a:b][:limit].tolist() for a, b in zip(indptr[:-1], indptr[1:])]

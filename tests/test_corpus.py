@@ -165,10 +165,10 @@ class TestEligibility:
 
     def test_min_refs_filter(self):
         corpus = self.make([0, 2, 3, 7])
-        rows, eligible, unreclassified = eligible_rows(corpus, 3)
+        rows, eligible = eligible_rows(corpus, 3)
         assert rows.tolist() == [2, 3]
         assert eligible == ("p2", "p3")
-        assert unreclassified == {"p0", "p1"}
+        assert set(corpus.paper_ids) - set(eligible) == {"p0", "p1"}
 
     def test_min_refs_zero_keeps_all(self):
         corpus = self.make([0, 2, 3, 7])

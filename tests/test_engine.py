@@ -198,7 +198,7 @@ def reference_run(corpus, config):
     """
     incidence, w0, ref_counts = corpus.matrices()
     n = len(corpus.paper_ids)
-    rows, _, _ = eligible_rows(corpus, config.min_refs)
+    rows, _ = eligible_rows(corpus, config.min_refs)
     in_scope = np.zeros(n, dtype=bool)
     in_scope[rows] = True
     scale = None
@@ -429,7 +429,7 @@ class TestAccumulate:
         corpus = load_corpus(paths["papers"], paths["journals"], paths["references"],
                              load_scheme(paths["scheme"]))
         incidence, w0, ref_counts = corpus.matrices()
-        scope, _, _ = eligible_rows(corpus, 5)
+        scope, _ = eligible_rows(corpus, 5)
         assert 0 < len(scope) < len(corpus)
         inv = 1.0 / np.maximum(ref_counts, 1)
         for row_scale in (np.ones(len(corpus)), inv):
@@ -517,7 +517,8 @@ class TestRun:
         })
         jl, u1 = run(corpus, EngineConfig())
         assert "p2" not in jl.vectors
-        assert jl.unreclassified == frozenset({"p2"})
+        assert set(corpus.paper_ids) - set(jl.paper_ids) == {"p2"}
+        assert jl.unreclassified == u1.unreclassified == 1
         incidence, w0, _ = corpus.matrices()
         refs = accumulate(incidence.T.tocsr(), w0)
         r1 = corpus.ref_ids.index("r1")
@@ -612,7 +613,7 @@ class TestClassificationIO:
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
         c = Classification.from_vectors(
             "JL-NF", {"p1": {0: 0.75, 1: 0.25}, "p2": {1: 1.0}},
-            frozenset({"p3"}), iterations_run=4,
+            unreclassified=1, iterations_run=4,
             residual_trace=[1.0, 0.1], converged=True, stalled=0)
         path = tmp_path / "JL-NF.csv"
         write_classification(c, scheme, path)
@@ -620,6 +621,24 @@ class TestClassificationIO:
         assert back.vectors == c.vectors
         assert back.variant_label == "JL-NF"
         assert back.residual_trace == [1.0, 0.1]
+        assert back.unreclassified == 1
+
+    def test_rewrite_of_a_read_table_keeps_its_sidecar(self, tmp_path):
+        # the unreclassified count is read back from the sidecar, so writing a
+        # read classification again rewrites the sidecar byte for byte
+        corpus = two_cat_corpus({"p1": ("JA", ["r1", "r2", "r3"]),
+                                 "p2": ("JB", ["r1", "r2", "r4"]),
+                                 "p3": ("JB", ["r1"])})
+        jl, _ = run(corpus, EngineConfig())
+        first, again = tmp_path / "a" / "JL-NF.csv", tmp_path / "b" / "JL-NF.csv"
+        first.parent.mkdir(), again.parent.mkdir()
+        write_classification(jl, corpus.scheme, first)
+        assert '"unreclassified": 1' in engine.sidecar_path(first).read_text()
+        write_classification(read_classification(first, corpus.scheme), corpus.scheme,
+                             again)
+        assert again.read_bytes() == first.read_bytes()
+        assert (engine.sidecar_path(again).read_bytes()
+                == engine.sidecar_path(first).read_bytes())
 
     def test_sorted_by_descending_weight(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])

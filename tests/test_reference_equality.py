@@ -156,6 +156,11 @@ def matrix(vecs):
 
 @given(paper_sets(st.one_of(vectors(), wide_vectors())), THRESHOLDS)
 @example({"p0": dict.fromkeys(range(K), 0.125)}, 0.5)  # ties past the cap
+# 285-wide rows cut at a tie: one weight throughout, and ties from rank three
+# to eight with the heavier entries in the highest columns
+@example({"p0": dict.fromkeys(range(WIDE), 0.125),
+          "p1": {**dict.fromkeys(range(WIDE - 2), 0.001), **dict.fromkeys(range(6), 0.1),
+                 WIDE - 2: 0.3, WIDE - 1: 0.2}}, 0.5)
 def test_prune_equals_reference(vecs, t):
     config = PruneConfig(t)
     out = prune_classification(matrix(vecs), config)
