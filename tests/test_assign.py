@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,7 +108,7 @@ def test_weight_order_limit_is_a_prefix_of_the_full_ranking(rows, budget):
         "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)}).weights
     with mock.patch.object(engine, "_RANK_BLOCK_ENTRIES", budget):
         full, indptr = engine.weight_order(m)
-        assert indptr is m.indptr
+        assert np.array_equal(indptr, m.indptr)
         for i, row in enumerate(rows):
             lo, hi = indptr[i], indptr[i + 1]
             assert (full[lo:hi] - lo).tolist() == sorted(range(len(row)),
