@@ -49,17 +49,23 @@ def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
         raise ValueError("cannot prune an empty vector")
     order, indptr = weight_order(m, MAX_CATEGORIES)
     w = m.data[order]
-    starts = indptr[:-1]
     # entry i passes when it follows its predecessor in rank closely enough;
     # a row keeps its entries up to (not including) the first that fails
-    passes = np.empty(len(w), dtype=bool)
-    passes[1:] = w[1:] >= (config.threshold * w[:-1]) * (1.0 - _RATIO_EPS)
-    passes[starts] = True
-    failed = np.cumsum(~passes)
-    keep = failed == np.repeat(failed[starts], np.diff(indptr))
-
+    first = np.zeros(len(w), dtype=bool)
+    first[indptr[:-1]] = True
+    keep = np.empty(len(w), dtype=bool)
+    keep[1:] = w[1:] >= (config.threshold * w[:-1]) * (1.0 - _RATIO_EPS)
+    keep |= first
+    # a row ranks at most MAX_CATEGORIES entries and its first always passes,
+    # so MAX_CATEGORIES - 2 shifted ANDs carry a failure to the end of its row
+    for _ in range(MAX_CATEGORIES - 2):
+        keep[1:] &= keep[:-1] | first[1:]
+    del first
     kept = kept_indptr(keep, indptr)
-    ranked = sp.csr_matrix((w[keep], m.indices[order[keep]], kept), shape=m.shape)
+    w = w[keep]
+    order = order[keep]
+    ranked = sp.csr_matrix((w, m.indices[order], kept), shape=m.shape)
+    del order
     ranked.data /= np.repeat(row_fsums(ranked), np.diff(kept))
     ranked.sort_indices()
     return ranked

@@ -50,7 +50,7 @@ class Corpus:
     incidence: sp.csr_matrix
     initial: sp.csr_matrix
     ref_counts: np.ndarray
-    _rows_by_ids: dict = field(default_factory=dict, init=False, repr=False)
+    _rows_by_ids: list = field(default_factory=list, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.paper_ids)
@@ -65,16 +65,19 @@ class Corpus:
 
     def rows_of(self, paper_ids: tuple[str, ...]) -> np.ndarray:
         """The rows of ``paper_ids``, read-only and kept per tuple: equal tuples
-        share one lookup.  CorpusError names the first id not in the corpus."""
-        rows = self._rows_by_ids.get(paper_ids)
-        if rows is None:
-            rows = np.fromiter(map(self._row_of.get, paper_ids, repeat(-1)), np.intp,
-                               len(paper_ids))
-            missing = np.flatnonzero(rows < 0)
-            if len(missing):
-                raise CorpusError(f"paper_id {paper_ids[missing[0]]} is not in the corpus")
-            rows.flags.writeable = False
-            self._rows_by_ids[paper_ids] = rows
+        share one lookup.  A kept tuple is found by identity or by comparing
+        items, never by hashing all of them.  CorpusError names the first id
+        not in the corpus."""
+        for ids, rows in self._rows_by_ids:
+            if ids is paper_ids or ids == paper_ids:
+                return rows
+        rows = np.fromiter(map(self._row_of.get, paper_ids, repeat(-1)), np.intp,
+                           len(paper_ids))
+        missing = np.flatnonzero(rows < 0)
+        if len(missing):
+            raise CorpusError(f"paper_id {paper_ids[missing[0]]} is not in the corpus")
+        rows.flags.writeable = False
+        self._rows_by_ids.append((paper_ids, rows))
         return rows
 
 

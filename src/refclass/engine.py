@@ -217,6 +217,17 @@ def _row_blocks(m: sp.csr_matrix, width: int) -> list[tuple[int, sp.csr_matrix]]
             for lo, hi in ((lo, min(lo + step, n)) for lo in range(0, n, step))]
 
 
+def _entry_ranges(indptr: np.ndarray, entries: int) -> list[tuple[int, int]]:
+    """(first row, end row) ranges covering the rows of ``indptr``.
+
+    Each starts at the first row at or past a multiple of ``entries`` stored
+    entries, so it holds at most ``entries`` entries and one row more.
+    """
+    bounds = np.searchsorted(indptr, np.arange(0, max(indptr[-1], 1), entries))
+    bounds = np.unique(np.append(bounds, len(indptr) - 1)).tolist()
+    return list(zip(bounds, bounds[1:]))
+
+
 def _row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each run of ``counts`` consecutive values, 1 for an empty run.
 
@@ -272,31 +283,39 @@ class _Support:
     """The eligible papers' JL support, kept as arrays across the loop's steps.
 
     Row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]`` in ascending column
-    order, with its current ``values``.  Per entry, ``pos`` is its flat
-    position in the citing-weights buffer, ``scale`` its row's citing scale
-    and ``local`` its flat position in its row block's product.  The support
-    only shrinks: an entry leaves when its new value rounds to zero.
+    order, with its current ``values``; in the citing-weights buffer it is
+    row ``rows[i]``, scaled by ``scale[rows[i]]``.  An entry costs 24 bytes:
+    its int32 column, its int32 position ``local`` in its row block's
+    product, its value and a spare value for the next step.  Every pass over
+    the entries goes one row block or range at a time, so its index and
+    product temporaries are bounded by one.  The support only shrinks: an
+    entry leaves when its new value rounds to zero.
     """
 
-    def __init__(self, rows: sp.csr_matrix, offsets: np.ndarray, scale: np.ndarray,
-                 blocks):
-        rows = rows.sorted_indices()
-        self.shape = rows.shape
-        self.indptr, self.indices, self.values = rows.indptr, rows.indices, rows.data
-        self.counts = np.diff(self.indptr)
-        block_lo = np.repeat(np.array([lo for lo, _ in blocks], dtype=np.intp),
-                             [b.shape[0] for _, b in blocks])
-        local_row = np.arange(rows.shape[0]) - block_lo
-        self.pos = np.repeat(offsets, self.counts) + self.indices
-        self.scale = np.repeat(scale, self.counts)
-        self.local = np.repeat(local_row * rows.shape[1], self.counts) + self.indices
+    def __init__(self, m: sp.csr_matrix, rows: np.ndarray, scale: np.ndarray, blocks):
+        """Takes over ``m``'s arrays, whose indices it sorts in place.
+
+        ``blocks`` are the row blocks of ``m``'s rows that ``propagate`` takes.
+        """
+        m.sort_indices()
+        self.shape = m.shape
+        self.indptr, self.indices, self.values = m.indptr, m.indices, m.data
+        self.rows, self.scale = rows, scale
         self._spare = np.empty_like(self.values)
+        p, k = self.indptr, self.shape[1]
+        self.local = np.empty(len(self.values), dtype=np.int32)
+        for lo, block in blocks:
+            hi = lo + block.shape[0]
+            local = self.local[p[lo]:p[hi]]
+            local[...] = np.repeat(np.arange(0, (hi - lo) * k, k), np.diff(p[lo:hi + 1]))
+            local += self.indices[p[lo]:p[hi]]
 
     def csr(self) -> sp.csr_matrix:
-        """The current rows as canonical CSR, without explicit zeros."""
-        keep = self.values != 0
-        return sp.csr_matrix((self.values[keep], self.indices[keep],
-                              kept_indptr(keep, self.indptr)), shape=self.shape)
+        """The current rows as canonical CSR, on the support's own arrays.
+
+        After an ``advance`` the support holds no zero.
+        """
+        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=self.shape)
 
     def propagate(self, blocks, refs: np.ndarray):
         """The support's entries of ``blocks`` @ ``refs``, rows scaled to unit sum.
@@ -312,18 +331,23 @@ class _Support:
         for lo, block in blocks:
             a, b = p[lo], p[lo + block.shape[0]]
             np.take(block @ refs, self.local[a:b], out=new[a:b], mode="clip")
-        counts = self.counts
-        if np.count_nonzero(new) < len(new):
-            keep = new != 0
-            counts = np.diff(kept_indptr(keep, p))
-            sums = _row_sums(new[keep], counts)
-        else:
-            sums = _row_sums(new, counts)
-        new /= np.repeat(sums, self.counts)
-        stalled = counts == 0
-        if stalled.any():
-            held = np.repeat(stalled, self.counts)
-            new[held] = self.values[held]
+        stalled = np.zeros(self.shape[0], dtype=bool)
+        for lo, hi in self._ranges():
+            a, b = p[lo], p[hi]
+            counts = np.diff(p[lo:hi + 1])
+            part = new[a:b]
+            nonzero = counts
+            if np.count_nonzero(part) < len(part):
+                keep = part != 0
+                nonzero = np.diff(kept_indptr(keep, p[lo:hi + 1] - a))
+                sums = _row_sums(part[keep], nonzero)
+            else:
+                sums = _row_sums(part, counts)
+            part /= np.repeat(sums, counts)
+            stall = stalled[lo:hi] = nonzero == 0
+            if stall.any():
+                held = np.repeat(stall, counts)
+                part[held] = self.values[a:b][held]
         return new, stalled
 
     def residual(self, new: np.ndarray) -> float:
@@ -334,33 +358,57 @@ class _Support:
         before it sums: the nonzero squared differences in (row, column)
         order.  The current values are overwritten.
         """
-        diff = self.values
+        diff, p = self.values, self.indptr
         np.subtract(diff, new, out=diff)
         np.multiply(diff, diff, out=diff)
-        return float(np.sum(diff[diff != 0]))
+        end = 0  # the nonzeros go to the front, in order
+        for lo, hi in self._ranges():
+            part = diff[p[lo]:p[hi]]
+            part = part[part != 0]
+            diff[end:end + len(part)] = part
+            end += len(part)
+        return float(np.sum(diff[:end]))
 
     def advance(self, new: np.ndarray, flat: np.ndarray) -> None:
         """Make ``new`` the current values and write them times the citing
         scale into ``flat``; an entry that rounded to zero writes 0 and leaves."""
-        flat[self.pos] = new * self.scale
+        p, k, ranges = self.indptr, self.shape[1], self._ranges()
+        for lo, hi in ranges:
+            counts = np.diff(p[lo:hi + 1])
+            rows = self.rows[lo:hi]
+            pos = np.repeat(rows * k, counts)
+            pos += self.indices[p[lo]:p[hi]]
+            scaled = np.repeat(self.scale[rows], counts)
+            scaled *= new[p[lo]:p[hi]]
+            flat[pos] = scaled
         self._spare, self.values = self.values, new
-        if np.count_nonzero(new) < len(new):
-            keep = new != 0
-            self.indptr = kept_indptr(keep, self.indptr)
-            self.counts = np.diff(self.indptr)
-            for name in ("indices", "pos", "scale", "local", "values"):
-                setattr(self, name, getattr(self, name)[keep])  # one copy alive at a time
+        if np.count_nonzero(new) < len(new):  # the nonzeros go to the front, in order
+            indptr, arrays = np.zeros_like(p), (new, self.indices, self.local)
+            for lo, hi in ranges:
+                a, b, end = p[lo], p[hi], indptr[lo]
+                keep = new[a:b] != 0
+                indptr[lo:hi + 1] = end + kept_indptr(keep, p[lo:hi + 1] - a)
+                for array in arrays:
+                    array[end:indptr[hi]] = array[a:b][keep]
+            self.indptr = indptr
+            self.values, self.indices, self.local = (array[:indptr[-1]] for array in arrays)
+
+    def _ranges(self) -> list[tuple[int, int]]:
+        """Row ranges of about ``_PRODUCT_BLOCK_ENTRIES`` entries each."""
+        return _entry_ranges(self.indptr, _PRODUCT_BLOCK_ENTRIES)
 
 
 def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
     """U1 rows as canonical CSR: sums of cited reference rows, renormalized.
 
     ``blocks`` are the row blocks of the eligible papers x references
-    incidence.  A row whose sum vanishes takes ``prev``'s row and is
-    reported as stalled.  Returns (rows, stalled).
+    incidence.  A row is divided by the sum of its nonzeros in column order;
+    a row whose sum vanishes takes ``prev``'s row and is reported as stalled.
+    Each block is compacted once, to its nonzeros.  Returns (rows, stalled).
     """
     n, k = prev.shape
     indices, data = np.empty(n * k, dtype=np.int32), np.empty(n * k)
+    columns = np.arange(k, dtype=np.int32)
     counts = np.zeros(n, dtype=np.int64)
     zero = np.zeros(n, dtype=bool)
     end = 0
@@ -368,13 +416,25 @@ def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
         hi = lo + block.shape[0]
         part = block @ refs
         stalled = zero[lo:hi] = ~part.any(axis=1)
-        _normalize(part)
         if stalled.any():
             part[stalled] = prev[lo:hi][stalled].toarray()
-        keep = part != 0  # also drops a value that the division rounded to zero
-        counts[lo:hi] = np.count_nonzero(keep, axis=1)
-        start, end = end, end + int(counts[lo:hi].sum())
-        data[start:end], indices[start:end] = part[keep], np.flatnonzero(keep) % k
+        keep = part != 0
+        nonzero = np.count_nonzero(keep, axis=1)
+        start, end = end, end + int(nonzero.sum())
+        values = data[start:end]
+        values[...] = part[keep]
+        indices[start:end] = np.broadcast_to(columns, part.shape)[keep]
+        del part, keep
+        sums = _row_sums(values, nonzero)
+        sums[stalled] = 1.0
+        values /= np.repeat(sums, nonzero)
+        if np.count_nonzero(values) < len(values):  # a value the division rounded to zero
+            keep = values != 0
+            nonzero = np.diff(kept_indptr(keep, np.concatenate(([0], np.cumsum(nonzero)))))
+            kept = values[keep], indices[start:end][keep]
+            end = start + len(kept[0])
+            data[start:end], indices[start:end] = kept
+        counts[lo:hi] = nonzero
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, k)), zero
 
@@ -412,8 +472,7 @@ def run(corpus: Corpus, config: EngineConfig):
     scaled = w0.toarray()
     scaled *= scale[:, None]
     refs = np.empty((incidence.shape[1], k))
-    rows = w0[elig_rows]
-    support = _Support(rows, elig_rows * k, scale[elig_rows], paper_blocks)
+    support = _Support(w0[elig_rows], elig_rows, scale, paper_blocks)
 
     threshold = config.effective_threshold(len(elig_ids))
     trace: list[float] = []
@@ -427,8 +486,8 @@ def run(corpus: Corpus, config: EngineConfig):
         if trace[-1] < threshold:
             break
     jl_rows = support.csr()
-    del support, new  # the U1 pass does not need the support's arrays
-    _check_support(jl_rows, rows)
+    del support, new  # the U1 pass needs neither the spare values nor the positions
+    _check_support(jl_rows, w0, elig_rows)
     iterations, converged = len(trace), trace[-1] < threshold
 
     def classification(phase, w, n_stalled):
@@ -445,15 +504,18 @@ def run(corpus: Corpus, config: EngineConfig):
 
     jl = classification("JL", jl_rows, stalled)
     _accumulate(citing_blocks, scaled, refs)
-    del scaled, citing_blocks, rows  # _propagate reads none of them
+    del scaled, citing_blocks  # _propagate reads neither
     u1, zero = _propagate(paper_blocks, refs, jl_rows)
     return jl, classification("U1", u1, stalled + int(zero.sum()))
 
 
-def _check_support(w, w0):
-    """The masked loop must never move weight outside the journal support."""
-    if ((w != 0) > (w0 != 0)).nnz:
-        raise EngineError("support invariant violated: weight outside journal support")
+def _check_support(w, w0, rows):
+    """The masked loop must never move weight outside the journal support:
+    row ``i`` of ``w`` may hold a nonzero only where row ``rows[i]`` of ``w0``
+    does.  Checked one row range at a time, so its temporaries stay bounded."""
+    for lo, hi in _entry_ranges(w.indptr, _PRODUCT_BLOCK_ENTRIES):
+        if ((w[lo:hi] != 0) > (w0[rows[lo:hi]] != 0)).nnz:
+            raise EngineError("support invariant violated: weight outside journal support")
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +536,9 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
         pids = list(map(_csv_field, pids))
     codes = np.array([cat.code for cat in scheme.categories])
     # row chunks of about _WRITE_CHUNK_ENTRIES entries, each ranked on its own
-    bounds = np.searchsorted(w.indptr, np.arange(0, w.nnz, _WRITE_CHUNK_ENTRIES))
-    bounds = np.unique(np.append(bounds, w.shape[0])).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("paper_id,category_code,weight\n")
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in _entry_ranges(w.indptr, _WRITE_CHUNK_ENTRIES):
             part = w[lo:hi]
             order, _ = weight_order(part)
             rows = np.repeat(np.arange(lo, hi), np.diff(part.indptr))

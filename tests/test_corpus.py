@@ -212,6 +212,21 @@ def test_rows_of_names_the_first_unknown_paper():
         corpus.rows_of(("p1", "p0", "p9"))
 
 
+class Unhashed(tuple):
+    def __hash__(self):
+        raise AssertionError("hashed")
+
+
+def test_rows_of_finds_a_kept_tuple_without_hashing_it():
+    # hashing a tuple visits every id, on every call: 9-13 ms for 1M ids
+    corpus = load_example()
+    ids = Unhashed(("p3", "p1"))
+    rows = corpus.rows_of(ids)
+    assert corpus.rows_of(ids) is rows
+    assert corpus.rows_of(Unhashed(("p3", "p1"))) is rows
+    assert corpus.rows_of(Unhashed(("p1",))).tolist() == [0]
+
+
 # ---------------------------------------------------------------------------
 # load_corpus against a plain csv + dict reading of generated tables
 

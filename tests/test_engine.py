@@ -108,7 +108,7 @@ def jl_step(blocks, refs, prev):
     """run()'s JL rows on ``prev``'s support from dense ``refs``: (canonical CSR
     rows, stalled)."""
     n, k = prev.shape
-    support = _Support(prev, np.arange(n) * k, np.ones(n), blocks)
+    support = _Support(prev.copy(), np.arange(n), np.ones(n), blocks)
     new, stalled = support.propagate(blocks, refs)
     support.advance(new, np.zeros(n * k))
     return support.csr(), stalled
@@ -563,9 +563,21 @@ class TestRun:
         w0 = sp.csr_matrix([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
         inside = sp.csr_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         outside = sp.csr_matrix([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
-        engine._check_support(inside, w0)
+        engine._check_support(inside, w0, np.arange(2))
         with pytest.raises(EngineError, match="support invariant"):
-            engine._check_support(outside, w0)
+            engine._check_support(outside, w0, np.arange(2))
+
+    def test_run_rejects_jl_rows_outside_the_journal_support(self):
+        # run() holds no copy of the journal rows through the loop: the check
+        # after it slices them again from corpus.initial
+        corpus = two_cat_corpus({
+            "p1": ("JA", ["a", "b", "c"]),
+            "p2": ("JB", ["a", "b", "d"]),
+        })
+        with mock.patch.object(_Support, "csr",
+                               lambda support: sp.csr_matrix(np.ones(support.shape))):
+            with pytest.raises(EngineError, match="support invariant"):
+                run(corpus, EngineConfig())
 
     def test_jl_support_subset_of_journal_support(self):
         scheme = build_scheme([(1102, 1100), (1103, 1100), (1104, 1100)])

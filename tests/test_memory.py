@@ -7,14 +7,17 @@ every run.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from refclass import engine
 from refclass.assign import PruneConfig, prune_classification
 from refclass.corpus import load_corpus
-from refclass.engine import Classification, EngineConfig, run, write_classification
+from refclass.engine import (Classification, EngineConfig, _Support, _row_blocks, run,
+                             write_classification)
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
@@ -55,13 +58,36 @@ def test_prune_of_dense_rows_allocates_a_fraction_of_its_input(threshold):
     assert peak - output <= 0.5 * (c.weights.data.nbytes + c.weights.indices.nbytes)
 
 
+@pytest.mark.parametrize("threshold", [0.5, 0.8])
+def test_prune_of_short_rows_scans_no_entry_twice(threshold):
+    # rows of 1-3 entries, as most JL rows are: every stored entry is ranked,
+    # so the per-entry arrays set the prune's peak.  Each row's passing
+    # prefix comes from shifted boolean ANDs, so the traced peak, output
+    # included, is 3.2 times the input's data and indices (5.3 with a
+    # cumulative count of failures and its repeat over every entry)
+    rng = np.random.default_rng(0)
+    n, k = 60_000, 16
+    counts = rng.integers(1, 4, n)
+    cols = np.argsort(rng.random((n, k)), axis=1)[:, :3]
+    cols = np.sort(np.where(np.arange(3) < counts[:, None], cols, k), axis=1)
+    indices = cols[cols < k].astype(np.int32)
+    weights = sp.csr_matrix((rng.random(len(indices)) + 1e-3, indices,
+                             np.concatenate(([0], np.cumsum(counts)))), shape=(n, k))
+    c = Classification("JL-F", tuple(f"p{i:05d}" for i in range(n)), weights)
+    pruned, peak, _ = traced(prune_classification, c, PruneConfig(threshold))
+    assert pruned.weights.nnz < weights.nnz
+    assert peak <= 4 * (weights.data.nbytes + weights.indices.nbytes)
+
+
 def test_run_peak_on_dense_rows_is_bounded_in_dense_matrices(tmp_path):
     # a corpus like the dense-converge workload (285 categories, dense U1
     # rows): the citing weights and blocks are dropped before the U1 pass
-    # allocates its rows, and the blocks are the only copy of the slots.  The
-    # traced peak is 3.9 papers x categories x 8 bytes (4.9 when the citing
-    # weights, the blocks and the whole transpose stayed alive through the
-    # U1 pass)
+    # allocates its rows, the blocks are the only copy of the slots, and the
+    # JL support costs 24 bytes an entry with no second copy of the journal
+    # rows.  The traced peak is 3.1 papers x categories x 8 bytes (3.9 with a
+    # 44-byte support and the journal rows held through the loop; 4.9 when the
+    # citing weights, the blocks and the whole transpose stayed alive through
+    # the U1 pass)
     paths = generate(SynthParams(
         n_papers=2000, n_categories=285, n_areas=26, seed=11, journal_noise=0.3,
         ref_noise=0.3, misc_fraction=0.1, multidisciplinary_fraction=0.2)).write(tmp_path)
@@ -71,7 +97,40 @@ def test_run_peak_on_dense_rows_is_bounded_in_dense_matrices(tmp_path):
                           per_paper_threshold=None, max_iterations=5)
     (jl, u1), peak, _ = traced(run, corpus, config)
     assert u1.weights.nnz > 0.9 * len(corpus) * 285
-    assert peak <= 4.4 * len(corpus) * 285 * 8
+    assert peak <= 3.4 * len(corpus) * 285 * 8
+
+
+def test_jl_support_costs_at_most_28_bytes_per_entry():
+    # the support keeps an int32 column, an int32 product position, a value
+    # and a spare value per entry (24 bytes; 44 with an intp flat position, an
+    # intp product position and a citing scale per entry), and each of its
+    # passes goes one row block or range at a time.  Built from a slice of the
+    # journal rows and stepped three times, with entries leaving, its traced
+    # peak is 24.4 bytes per entry (56.3 with the 44-byte entries and a sorted
+    # copy of the slice); the blocks are cut small, so that their
+    # temporaries stay small beside it
+    rng = np.random.default_rng(0)
+    n, k, n_refs = 3000, 285, 400
+    w0 = sp.random(n, k, density=0.5, format="csr", random_state=rng)
+    incidence = sp.random(n, n_refs, density=0.02, format="csr", random_state=rng)
+    incidence.data[:] = 1.0
+    refs = rng.random((n_refs, k))
+    refs[:, ::7] = 0.0  # every seventh column's entries come out zero and leave
+    rows, scale, flat = np.arange(n), np.ones(n), np.zeros(n * k)
+
+    def steps():
+        support = _Support(w0[rows], rows, scale, blocks)
+        for _ in range(3):
+            new, _ = support.propagate(blocks, refs)
+            support.residual(new)
+            support.advance(new, flat)
+        return support
+
+    with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", 1 << 12):
+        blocks = _row_blocks(incidence, k)
+        support, peak, _ = traced(steps)
+    assert 0 < len(support.values) < 0.9 * w0.nnz
+    assert peak <= 28 * w0.nnz
 
 
 def test_write_of_dense_rows_is_bounded_by_entries(tmp_path):
