@@ -8,8 +8,11 @@ not exceeded.  Kept weights are renormalized to sum 1.
 
 The kept entries are a rank prefix of at most MAX_CATEGORIES, so the prune
 ranks only each row's first MAX_CATEGORIES entries, with
-``engine.weight_order``; there is no separate cut.  That ranking compares
-weights, so prune_classification rejects any that is not positive and finite.
+``engine.weight_order``; there is no separate cut.  One ranking serves every
+threshold: ``prune_blocks`` prunes a matrix, whole or as a stream of row
+blocks, at several thresholds at once, and prune_classification is its
+one-threshold call.  The ranking compares weights, so the prune rejects any
+that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -43,32 +46,79 @@ class PruneConfig:
         return f"{self.threshold:g}"
 
 
-def _prune_rows(m: sp.csr_matrix, config: PruneConfig) -> sp.csr_matrix:
-    """Prune every row of a papers x categories CSR matrix in one pass."""
+def _prune_rows(m: sp.csr_matrix, thresholds) -> list[sp.csr_matrix]:
+    """Every row of a papers x categories CSR matrix pruned at each threshold.
+
+    The rows are ranked once; each threshold's pass reads that ranking.
+    """
     if (np.diff(m.indptr) == 0).any():
         raise ValueError("cannot prune an empty vector")
     order, indptr = weight_order(m, MAX_CATEGORIES)
-    w = m.data[order]
-    # entry i passes when it follows its predecessor in rank closely enough;
-    # a row keeps its entries up to (not including) the first that fails
+    w, columns = m.data[order], m.indices[order]
+    del order
     first = np.zeros(len(w), dtype=bool)
     first[indptr[:-1]] = True
-    keep = np.empty(len(w), dtype=bool)
-    keep[1:] = w[1:] >= (config.threshold * w[:-1]) * (1.0 - _RATIO_EPS)
-    keep |= first
-    # a row ranks at most MAX_CATEGORIES entries and its first always passes,
-    # so MAX_CATEGORIES - 2 shifted ANDs carry a failure to the end of its row
-    for _ in range(MAX_CATEGORIES - 2):
-        keep[1:] &= keep[:-1] | first[1:]
-    del first
-    kept = kept_indptr(keep, indptr)
-    w = w[keep]
-    order = order[keep]
-    ranked = sp.csr_matrix((w, m.indices[order], kept), shape=m.shape)
-    del order
-    ranked.data /= np.repeat(row_fsums(ranked), np.diff(kept))
-    ranked.sort_indices()
-    return ranked
+    out = []
+    for threshold in thresholds:
+        # entry i passes when it follows its predecessor in rank closely enough;
+        # a row keeps its entries up to (not including) the first that fails
+        bound = threshold * w[:-1]
+        bound *= 1.0 - _RATIO_EPS
+        keep = np.empty(len(w), dtype=bool)
+        np.greater_equal(w[1:], bound, out=keep[1:])
+        del bound
+        keep |= first
+        # a row ranks at most MAX_CATEGORIES entries and its first always passes,
+        # so MAX_CATEGORIES - 2 shifted ANDs carry a failure to the end of its row
+        for _ in range(MAX_CATEGORIES - 2):
+            keep[1:] &= keep[:-1] | first[1:]
+        out.append(sp.csr_matrix((w[keep], columns[keep], kept_indptr(keep, indptr)),
+                                 shape=m.shape))
+        del keep
+    del w, columns, first  # the ranking is dropped before any row is summed
+    for ranked in out:
+        ranked.data /= np.repeat(row_fsums(ranked), np.diff(ranked.indptr))
+        ranked.sort_indices()
+    return out
+
+
+def prune_blocks(blocks, paper_ids, configs) -> list[sp.csr_matrix]:
+    """The rows of consecutive CSR row ``blocks`` pruned at each config's threshold.
+
+    Row ``i`` of the blocks belongs to ``paper_ids[i]``.  Each block is ranked
+    once, whatever the number of thresholds, and may be dropped as soon as it
+    is pruned.  Every weight must be positive and finite: a ValueError names
+    the first paper with another.
+    """
+    thresholds = [config.threshold for config in configs]
+    parts = [[] for _ in configs]
+    lo = 0
+    for rows in blocks:
+        _check_weights(rows, paper_ids, lo)
+        for part, weights in zip(parts, _prune_rows(rows, thresholds)):
+            part.append(weights)
+        lo += rows.shape[0]
+        del rows  # dropped before the next block is made
+    return [part[0] if len(part) == 1 else sp.vstack(part, format="csr") for part in parts]
+
+
+def _check_weights(m: sp.csr_matrix, paper_ids, first_row: int) -> None:
+    """A ValueError names the first paper whose weight is not positive and
+    finite; row ``i`` of ``m`` belongs to ``paper_ids[first_row + i]``."""
+    bad = np.flatnonzero(~((m.data > 0) & (m.data < np.inf)))
+    if len(bad):
+        row = first_row + np.searchsorted(m.indptr, bad[0], side="right") - 1
+        raise ValueError(f"paper {paper_ids[row]}: weight {m.data[bad[0]]!r} "
+                         "is not positive and finite")
+
+
+def pruned(c: Classification, config: PruneConfig,
+           weights: sp.csr_matrix) -> Classification:
+    """``c`` on ``weights``, its rows pruned at ``config``; the variant label gains
+    the threshold suffix."""
+    return dataclasses.replace(
+        c, variant_label=f"{c.variant_label}-{config.label}", weights=weights,
+        residual_trace=list(c.residual_trace))
 
 
 def prune_classification(c: Classification, config: PruneConfig) -> Classification:
@@ -77,13 +127,4 @@ def prune_classification(c: Classification, config: PruneConfig) -> Classificati
     Every weight must be positive and finite: a ValueError names the first
     paper with another.
     """
-    data = c.weights.data
-    bad = np.flatnonzero(~((data > 0) & (data < np.inf)))
-    if len(bad):
-        row = np.searchsorted(c.weights.indptr, bad[0], side="right") - 1
-        raise ValueError(f"paper {c.paper_ids[row]}: weight {data[bad[0]]!r} "
-                         "is not positive and finite")
-    return dataclasses.replace(
-        c, variant_label=f"{c.variant_label}-{config.label}",
-        weights=_prune_rows(c.weights, config),
-        residual_trace=list(c.residual_trace))
+    return pruned(c, config, prune_blocks([c.weights], c.paper_ids, [config])[0])

@@ -18,10 +18,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
+from .assign import DEFAULT_THRESHOLDS, PruneConfig, prune_blocks, pruned
 from .corpus import DEFAULT_MIN_REFS, CorpusError, eligible_rows, load_corpus
 from .engine import (ABSOLUTE_THRESHOLD, DEFAULT_PER_PAPER_THRESHOLD, Classification,
-                     EngineConfig, read_classification, run, write_classification)
+                     EngineConfig, collect_rows, propagate, read_classification, run,
+                     unlimited, write_classification)
 from .oracle import OracleSizeError, dense_run, max_component_difference
 from .report import write_report
 from .scheme import load_scheme
@@ -163,7 +164,7 @@ def cmd_run(args) -> int:
     report_inputs: dict[str, Classification] = {}
     for weight, config in configs.items():
         t0 = time.perf_counter()
-        jl, u1 = run(corpus, config)
+        jl, u1_rows, u1_stalled = propagate(corpus, config)
         log_lines.append(f"{weight}: iterations={jl.iterations_run} "
                          f"converged={jl.converged} stalled={jl.stalled}")
         log_lines.append(f"{weight}: residuals={jl.residual_trace}")
@@ -173,13 +174,13 @@ def cmd_run(args) -> int:
             print(f"warning: {weight} run did not converge", file=sys.stderr)
         log_lines.append(_stage_line(f"run-{weight}", t0))
         t0 = time.perf_counter()
-        raw = {"JL": jl, "U1": u1}
-        for phase, w, prune in parsed:
+        made = _variants(jl, u1_rows, u1_stalled,
+                         [(phase, prune) for phase, w, prune in parsed if w == weight])
+        for label, (_, w, _) in zip(labels, parsed):
             if w == weight:
-                c = raw[phase] if prune is None else prune_classification(raw[phase], prune)
-                report_inputs[c.variant_label] = c
-                write_classification(c, scheme, out / f"{c.variant_label}.csv")
-        del jl, u1, raw
+                report_inputs[label] = made[label]
+                write_classification(made[label], scheme, out / f"{label}.csv")
+        del jl, u1_rows, made
         log_lines.append(_stage_line(f"prune-write-{weight}", t0))
 
     t0 = time.perf_counter()
@@ -190,6 +191,35 @@ def cmd_run(args) -> int:
     log_lines.append(_stage_line("report", t0))
     (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return 0
+
+
+def _variants(jl, u1_rows, u1_stalled, wanted) -> dict[str, Classification]:
+    """{variant label: classification} of one weighting's ``wanted`` (phase, prune) pairs.
+
+    ``jl``, ``u1_rows`` and ``u1_stalled`` are ``propagate``'s result.  The JL
+    rows, and the U1 rows, are ranked once for all their thresholds.  The U1
+    matrix is assembled only for a raw U1 variant; otherwise the U1 pass's row
+    blocks are pruned as they are made.
+    """
+    out = {}
+    for phase in ("JL", "U1"):
+        prunes = [prune for ph, prune in wanted if ph == phase and prune]
+        if phase == "JL" or (phase, None) in wanted:
+            c = jl if phase == "JL" else unlimited(
+                jl, collect_rows(u1_rows, jl.weights.shape), u1_stalled)
+            out[c.variant_label] = c
+            blocks = [c.weights]
+        else:
+            c, blocks = None, u1_rows
+        if prunes:
+            weights = prune_blocks(blocks, jl.paper_ids, prunes)
+            # a U1 classification never assembled lends the pruned ones its label
+            # and metadata only
+            c = c or unlimited(jl, weights[0], u1_stalled)
+            for prune, w in zip(prunes, weights):
+                p = pruned(c, prune, w)
+                out[p.variant_label] = p
+    return out
 
 
 def _stage_line(stage: str, t0: float) -> str:

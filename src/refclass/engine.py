@@ -14,6 +14,7 @@ reference id / category code), so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections.abc import Mapping
@@ -35,11 +36,17 @@ ABSOLUTE_THRESHOLD = 3000.0
 
 # entries formatted per write call, which bounds the memory write_classification needs
 _WRITE_CHUNK_ENTRIES = 65536
+# stored entries per range of row_fsums' Python-level sums, which bounds their float objects
+_FSUM_CHUNK_ENTRIES = 1 << 14
 # stored entries per block of weight_order: bounds the temporaries of a row-length group
 _RANK_BLOCK_ENTRIES = 1 << 16
 # output entries per row block of the loop's dense products: small enough for a
 # block to stay in cache, which keeps the per-iteration cost linear in the paper count
 _PRODUCT_BLOCK_ENTRIES = 1 << 16
+# stored entries per range of the JL support's scatter and compaction (never
+# more than a product block's), whose temporaries cost more per entry than the
+# other passes' (16 bytes and more)
+_SCATTER_ENTRIES = 1 << 14
 
 
 class EngineError(ValueError):
@@ -108,26 +115,6 @@ class Classification:
             raise ValueError(f"{len(self.paper_ids)} paper ids for "
                              f"{self.weights.shape[0]} weight rows")
 
-    @classmethod
-    def from_vectors(cls, label: str, vectors: dict[str, dict[int, float]],
-                     **meta) -> Classification:
-        """Build from paper id -> {category index: weight} maps.
-
-        The matrix is as wide as the largest index used requires.
-        """
-        pids = sorted(vectors)
-        indptr, indices, data = [0], [], []
-        for pid in pids:
-            for idx, w in sorted(vectors[pid].items()):
-                if w != 0.0:
-                    indices.append(idx)
-                    data.append(w)
-            indptr.append(len(indices))
-        weights = sp.csr_matrix(
-            (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
-            shape=(len(pids), max(indices, default=-1) + 1))
-        return cls(label, tuple(pids), weights, **meta)
-
     @property
     def vectors(self) -> Mapping[str, dict[int, float]]:
         """Read-only paper id -> {category index: weight} view, built on each access."""
@@ -142,21 +129,25 @@ class Classification:
 def row_fsums(m: sp.csr_matrix) -> np.ndarray:
     """Per-row ``math.fsum`` of the stored values of a CSR matrix.
 
-    Rows with one or two stored values get it from the value itself and
-    from one addition; only longer rows need a Python-level fsum.
+    ``np.add.reduceat`` gives a row of one or two stored values the value
+    itself or their one addition, which is the fsum, and copies no per-row
+    value or index array.  Only longer rows need a Python-level fsum; their
+    values become Python floats one range of about ``_FSUM_CHUNK_ENTRIES``
+    entries at a time.
     """
-    counts = np.diff(m.indptr)
-    starts = m.indptr[:-1]
+    p = m.indptr
+    counts = np.diff(p)
     out = np.zeros(len(counts))
-    some = counts > 0
-    out[some] = m.data[starts[some]]
-    two = counts == 2
-    out[two] += m.data[starts[two] + 1]
-    long = counts > 2
-    if long.any():
-        values = m.data[np.repeat(long, counts)].tolist()
-        bounds = np.concatenate(([0], np.cumsum(counts[long]))).tolist()
-        out[long] = [math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    started = np.searchsorted(p, m.nnz)  # the rows that start before the end
+    if started:
+        np.add.reduceat(m.data, p[:started], out=out[:started])
+        out[counts == 0] = 0.0  # reduceat gives an empty row the next row's first value
+    if (counts > 2).any():
+        for lo, hi in _entry_ranges(p, _FSUM_CHUNK_ENTRIES):
+            long = counts[lo:hi] > 2
+            values = m.data[p[lo]:p[hi]][np.repeat(long, counts[lo:hi])].tolist()
+            bounds = np.concatenate(([0], np.cumsum(counts[lo:hi][long]))).tolist()
+            out[lo:hi][long] = [math.fsum(values[a:b]) for a, b in zip(bounds, bounds[1:])]
     return out
 
 
@@ -372,7 +363,8 @@ class _Support:
     def advance(self, new: np.ndarray, flat: np.ndarray) -> None:
         """Make ``new`` the current values and write them times the citing
         scale into ``flat``; an entry that rounded to zero writes 0 and leaves."""
-        p, k, ranges = self.indptr, self.shape[1], self._ranges()
+        p, k = self.indptr, self.shape[1]
+        ranges = _entry_ranges(p, min(_SCATTER_ENTRIES, _PRODUCT_BLOCK_ENTRIES))
         for lo, hi in ranges:
             counts = np.diff(p[lo:hi + 1])
             rows = self.rows[lo:hi]
@@ -398,55 +390,73 @@ class _Support:
         return _entry_ranges(self.indptr, _PRODUCT_BLOCK_ENTRIES)
 
 
-def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix):
-    """U1 rows as canonical CSR: sums of cited reference rows, renormalized.
+def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, stalled: np.ndarray):
+    """U1 rows as canonical CSR row blocks: sums of cited reference rows, renormalized.
 
     ``blocks`` are the row blocks of the eligible papers x references
-    incidence.  A row is divided by the sum of its nonzeros in column order;
-    a row whose sum vanishes takes ``prev``'s row and is reported as stalled.
-    Each block is compacted once, to its nonzeros.  Returns (rows, stalled).
+    incidence; each block of rows is computed when it is taken.  A row is
+    divided by the sum of its nonzeros in column order; a row whose sum
+    vanishes takes ``prev``'s row and is marked in the bool mask ``stalled``.
+    Each block is compacted once, to its nonzeros.
     """
-    n, k = prev.shape
-    indices, data = np.empty(n * k, dtype=np.int32), np.empty(n * k)
+    k = prev.shape[1]
     columns = np.arange(k, dtype=np.int32)
-    counts = np.zeros(n, dtype=np.int64)
-    zero = np.zeros(n, dtype=bool)
-    end = 0
     for lo, block in blocks:
         hi = lo + block.shape[0]
         part = block @ refs
-        stalled = zero[lo:hi] = ~part.any(axis=1)
-        if stalled.any():
-            part[stalled] = prev[lo:hi][stalled].toarray()
+        zero = stalled[lo:hi] = ~part.any(axis=1)
+        if zero.any():
+            part[zero] = prev[lo:hi][zero].toarray()
         keep = part != 0
         nonzero = np.count_nonzero(keep, axis=1)
-        start, end = end, end + int(nonzero.sum())
-        values = data[start:end]
-        values[...] = part[keep]
-        indices[start:end] = np.broadcast_to(columns, part.shape)[keep]
-        del part, keep
+        values = part[keep]
+        del part
+        indices = np.broadcast_to(columns, keep.shape)[keep]
+        del keep
         sums = _row_sums(values, nonzero)
-        sums[stalled] = 1.0
+        sums[zero] = 1.0
         values /= np.repeat(sums, nonzero)
+        indptr = np.concatenate(([0], np.cumsum(nonzero)))
         if np.count_nonzero(values) < len(values):  # a value the division rounded to zero
             keep = values != 0
-            nonzero = np.diff(kept_indptr(keep, np.concatenate(([0], np.cumsum(nonzero)))))
-            kept = values[keep], indices[start:end][keep]
-            end = start + len(kept[0])
-            data[start:end], indices[start:end] = kept
-        counts[lo:hi] = nonzero
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return sp.csr_matrix((data[:end], indices[:end], indptr), shape=(n, k)), zero
+            indptr = kept_indptr(keep, indptr)
+            values, indices = values[keep], indices[keep]
+        yield sp.csr_matrix((values, indices, indptr), shape=(hi - lo, k))
+        del values, indices  # the next block is made without this one
+
+
+def collect_rows(blocks, shape) -> sp.csr_matrix:
+    """The CSR matrix of ``shape`` whose rows are those of consecutive row ``blocks``.
+
+    Its arrays are allocated once, as for a full matrix, and filled block by block.
+    """
+    n, k = shape
+    indices, data = np.empty(n * k, dtype=np.int32), np.empty(n * k)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    lo = end = 0
+    for rows in blocks:
+        hi, start, end = lo + rows.shape[0], end, end + rows.nnz
+        data[start:end], indices[start:end] = rows.data, rows.indices
+        indptr[lo + 1:hi + 1] = start + rows.indptr[1:]
+        lo = hi
+        del rows  # dropped before the next block is made
+    if lo != n:
+        raise EngineError(f"row blocks cover {lo} of {n} rows")
+    return sp.csr_matrix((data[:end], indices[:end], indptr), shape=shape)
 
 
 # ---------------------------------------------------------------------------
 # full run
 
-def run(corpus: Corpus, config: EngineConfig):
-    """Execute the full loop and return the (JL, U1) classification pair.
+def propagate(corpus: Corpus, config: EngineConfig):
+    """Run the JL loop: (the JL classification, the U1 rows, the U1 stall mask).
 
-    The loop's right operands are two dense buffers, updated in place; the
-    eligible papers' JL rows are a ``_Support``, and CSR only for the output.
+    The U1 rows are a generator of canonical CSR blocks of consecutive rows:
+    the U1 pass computes each block when it is taken and marks its stalled
+    rows in the mask, so the U1 matrix exists only if ``collect_rows``
+    assembles it; ``unlimited`` makes the U1 classification.  The loop's
+    right operands are two dense buffers, updated in place; the eligible
+    papers' JL rows are a ``_Support``, and CSR only for the output.
     """
     incidence, w0, ref_counts = corpus.matrices()
     k = w0.shape[1]
@@ -488,25 +498,34 @@ def run(corpus: Corpus, config: EngineConfig):
     jl_rows = support.csr()
     del support, new  # the U1 pass needs neither the spare values nor the positions
     _check_support(jl_rows, w0, elig_rows)
-    iterations, converged = len(trace), trace[-1] < threshold
+    _accumulate(citing_blocks, scaled, refs)  # the reference vectors the U1 pass reads
+    jl = Classification(
+        variant_label=f"JL-{config.weight_label}",
+        paper_ids=elig_ids,
+        weights=jl_rows,
+        unreclassified=len(corpus) - len(elig_ids),
+        iterations_run=len(trace),
+        residual_trace=trace,
+        converged=trace[-1] < threshold,
+        stalled=stalled,
+    )
+    u1_stalled = np.zeros(len(elig_ids), dtype=bool)
+    return jl, _propagate(paper_blocks, refs, jl_rows, u1_stalled), u1_stalled
 
-    def classification(phase, w, n_stalled):
-        return Classification(
-            variant_label=f"{phase}-{config.weight_label}",
-            paper_ids=elig_ids,
-            weights=w,
-            unreclassified=len(corpus) - len(elig_ids),
-            iterations_run=iterations,
-            residual_trace=list(trace),
-            converged=converged,
-            stalled=n_stalled,
-        )
 
-    jl = classification("JL", jl_rows, stalled)
-    _accumulate(citing_blocks, scaled, refs)
-    del scaled, citing_blocks  # _propagate reads neither
-    u1, zero = _propagate(paper_blocks, refs, jl_rows)
-    return jl, classification("U1", u1, stalled + int(zero.sum()))
+def unlimited(jl: Classification, weights: sp.csr_matrix,
+              stalled: np.ndarray) -> Classification:
+    """The U1 classification on ``weights`` of the run whose JL result is ``jl``;
+    ``stalled`` is the U1 pass's stall mask."""
+    return dataclasses.replace(
+        jl, variant_label="U1" + jl.variant_label[2:], weights=weights,
+        residual_trace=list(jl.residual_trace), stalled=jl.stalled + int(stalled.sum()))
+
+
+def run(corpus: Corpus, config: EngineConfig):
+    """Execute the full loop and return the (JL, U1) classification pair."""
+    jl, rows, stalled = propagate(corpus, config)
+    return jl, unlimited(jl, collect_rows(rows, jl.weights.shape), stalled)
 
 
 def _check_support(w, w0, rows):

@@ -6,7 +6,9 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
 from refclass.assign import prune_classification
@@ -35,9 +37,29 @@ def vec_sum(vec: dict[int, float]) -> float:
     return math.fsum(vec.values())
 
 
+def from_vectors(label: str, vectors: dict[str, dict[int, float]],
+                 **meta) -> Classification:
+    """A classification built from paper id -> {category index: weight} maps.
+
+    The matrix is as wide as the largest index used requires.
+    """
+    pids = sorted(vectors)
+    indptr, indices, data = [0], [], []
+    for pid in pids:
+        for idx, w in sorted(vectors[pid].items()):
+            if w != 0.0:
+                indices.append(idx)
+                data.append(w)
+        indptr.append(len(indices))
+    weights = sp.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
+        shape=(len(pids), max(indices, default=-1) + 1))
+    return Classification(label, tuple(pids), weights, **meta)
+
+
 def prune_vector(vector: dict[int, float], config) -> dict[int, float]:
     """``prune_classification`` of a one-paper classification, as its vector."""
-    c = Classification.from_vectors("", {"": vector})
+    c = from_vectors("", {"": vector})
     return prune_classification(c, config).vectors[""]
 
 

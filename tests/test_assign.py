@@ -3,13 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refclass import assign, engine
-from refclass.assign import DEFAULT_THRESHOLDS, PruneConfig, prune_classification
-from refclass.engine import Classification
+from refclass.assign import (DEFAULT_THRESHOLDS, PruneConfig, prune_blocks,
+                             prune_classification)
 
-from conftest import prune_vector, vec_sum
+from conftest import from_vectors, prune_vector, vec_sum
+from test_reference_equality import (TIES_PAST_THE_CAP, WIDE_TIES, paper_sets,
+                                     vectors as ranked_vectors, wide_vectors)
 
 
 class TestPrune:
@@ -78,21 +80,51 @@ class TestProperties:
 
 class TestPruneClassification:
     def test_singletons_unchanged(self):
-        c = Classification.from_vectors("JL-NF", {"p1": {0: 1.0}, "p2": {3: 1.0}})
+        c = from_vectors("JL-NF", {"p1": {0: 1.0}, "p2": {3: 1.0}})
         out = prune_classification(c, PruneConfig(0.8))
         assert out.vectors == c.vectors
         assert out.variant_label == "JL-NF-0.8"
 
     def test_label_extension(self):
-        c = Classification.from_vectors("U1-F", {"p": {0: 1.0}})
+        c = from_vectors("U1-F", {"p": {0: 1.0}})
         assert prune_classification(c, PruneConfig(0.67)).variant_label == "U1-F-0.67"
 
     @pytest.mark.parametrize("vector", [{0: math.nan, 1: 0.5, 2: 0.4}, {0: -1.0, 1: 0.5},
                                         {0: math.inf, 1: 1.0}])
     def test_weight_not_positive_and_finite_is_rejected(self, vector):
-        c = Classification.from_vectors("U1-F", {"p1": {0: 1.0}, "p2": vector})
+        c = from_vectors("U1-F", {"p1": {0: 1.0}, "p2": vector})
         with pytest.raises(ValueError, match="paper p2: weight .* is not positive and finite"):
             prune_classification(c, PruneConfig(0.5))
+
+    def test_weight_check_names_the_paper_of_a_later_block(self):
+        c = from_vectors("U1-F", {"p1": {0: 1.0}, "p2": {0: 0.5}, "p3": {1: -1.0}})
+        blocks = [c.weights[:2], c.weights[2:]]
+        with pytest.raises(ValueError, match="paper p3: weight .* is not positive"):
+            prune_blocks(blocks, c.paper_ids, [PruneConfig(0.5)])
+
+
+@given(paper_sets(st.one_of(ranked_vectors(), wide_vectors())),
+       st.lists(st.sampled_from(DEFAULT_THRESHOLDS), min_size=1, max_size=4),
+       st.sets(st.integers(1, 11)))
+@example(TIES_PAST_THE_CAP, list(DEFAULT_THRESHOLDS), set())
+@example(WIDE_TIES, list(DEFAULT_THRESHOLDS), {1})
+@example(WIDE_TIES, [0.8, 0.5], set())
+def test_one_ranking_for_every_threshold_equals_one_prune_each(vecs, thresholds, cuts):
+    # rows of 1-285 entries, many tied across ranks three to eight, cut into
+    # consecutive row blocks: each block is ranked once for all thresholds,
+    # and every threshold's rows are those of a prune at that threshold alone,
+    # bit for bit
+    c = from_vectors("U1-F", vecs)
+    bounds = [0, *sorted(cut for cut in cuts if cut < len(vecs)), len(vecs)]
+    configs = [PruneConfig(t) for t in thresholds]
+    out = prune_blocks((c.weights[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
+                       c.paper_ids, configs)
+    assert len(out) == len(configs)
+    for config, weights in zip(configs, out):
+        alone = prune_classification(c, config).weights
+        assert weights.shape == alone.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(weights, part), getattr(alone, part)), part
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,7 +136,7 @@ def test_weight_order_limit_is_a_prefix_of_the_full_ranking(rows, budget):
     # most ``budget`` entries: the full ranking follows (descending weight,
     # column), and a cut row keeps exactly its first ``limit`` places, ties
     # at the cut going to the lowest columns
-    m = Classification.from_vectors(
+    m = from_vectors(
         "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)}).weights
     with mock.patch.object(engine, "_RANK_BLOCK_ENTRIES", budget):
         full, indptr = engine.weight_order(m)

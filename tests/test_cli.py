@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from refclass import cli
+from refclass import cli, engine
 from refclass.assign import PruneConfig
 from refclass.cli import main, parse_variant
 from refclass.corpus import Corpus
@@ -110,17 +110,63 @@ class TestRun:
         # variant is still alive
         raws, alive_at_run = [], []
 
-        def run(corpus, config):
+        def propagate(corpus, config):
             alive_at_run.append(sorted(r().variant_label for r in raws if r() is not None))
-            jl, u1 = engine_run(corpus, config)
-            raws.extend((weakref.ref(jl), weakref.ref(u1)))
-            return jl, u1
+            jl, u1_rows, u1_stalled = engine_propagate(corpus, config)
+            raws.append(weakref.ref(jl))
+            return jl, u1_rows, u1_stalled
 
-        engine_run = cli.run
-        monkeypatch.setattr(cli, "run", run)
+        def unlimited(*args):
+            u1 = engine_unlimited(*args)
+            raws.append(weakref.ref(u1))
+            return u1
+
+        engine_propagate, engine_unlimited = cli.propagate, cli.unlimited
+        monkeypatch.setattr(cli, "propagate", propagate)
+        monkeypatch.setattr(cli, "unlimited", unlimited)
         assert main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "out"),
                      "--variants", "U1-NF-raw,JL-NF-0.8,JL-F-0.8"]) == 0
         assert alive_at_run == [[], ["U1-NF"]]
+
+    @pytest.mark.parametrize("categories, areas", [(16, None), (285, 26)])
+    def test_pruned_u1_files_do_not_depend_on_a_raw_u1_variant(
+            self, tmp_path, monkeypatch, categories, areas):
+        # without a raw U1 variant, each U1 row block is pruned as the U1 pass
+        # makes it; with one, the assembled U1 matrix is pruned whole.  The
+        # blocks are cut small, so that there are several, and papers without
+        # references stall in both phases, so that the sidecars count stalls
+        generate(SynthParams(n_papers=300, n_categories=categories, n_areas=areas, seed=5,
+                             journal_noise=0.3, ref_noise=0.3, multidisciplinary_fraction=0.2,
+                             short_ref_fraction=0.2)).write(tmp_path / "corpus")
+        monkeypatch.setattr(engine, "_PRODUCT_BLOCK_ENTRIES", 1 << 12)
+        pruned = ["U1-F-0.5", "U1-F-0.8", "U1-NF-0.67"]
+        for name, raw in (("streamed", []), ("assembled", ["U1-NF-raw", "U1-F-raw"])):
+            assert main(["run", "--dir", str(tmp_path / "corpus"), "--out",
+                         str(tmp_path / name), "--min-refs", "0",
+                         "--variants", ",".join(pruned + raw)]) == 0
+        for label in pruned:
+            for name in (f"{label}.csv", f"{label}.csv.meta.json"):
+                assert (tmp_path / "streamed" / name).read_bytes() == \
+                    (tmp_path / "assembled" / name).read_bytes()
+        log = (tmp_path / "streamed" / "run.log").read_text()
+        jl_stalled = next(int(line.rpartition("stalled=")[2]) for line in log.splitlines()
+                          if line.startswith("F: iterations="))
+        meta = json.loads((tmp_path / "streamed" / "U1-F-0.5.csv.meta.json").read_text())
+        assert meta["stalled"] > jl_stalled > 0
+
+    def test_without_a_raw_u1_variant_the_u1_matrix_is_never_assembled(
+            self, corpus_dir, tmp_path, monkeypatch):
+        def no_collect(*args):
+            raise AssertionError("the U1 matrix was assembled")
+
+        monkeypatch.setattr(cli, "collect_rows", no_collect)
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out)]) == 0
+        for variant in cli.ALL_VARIANTS:
+            assert (out / f"{variant}.csv").exists()
+        with pytest.raises(AssertionError, match="assembled"):
+            main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "raw"),
+                  "--variants", "U1-F-0.8,U1-F-raw"])
 
     def test_report_looks_up_each_paper_id_tuple_once(self, corpus_dir, tmp_path,
                                                       monkeypatch, one_paper_table):

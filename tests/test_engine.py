@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from refclass import engine
 from refclass import scheme as scheme_module
 from refclass.corpus import Corpus, CorpusError, eligible_rows, load_corpus
-from refclass.engine import (Classification, EngineConfig, EngineError, _Support,
-                             _accumulate, _propagate, _row_blocks, read_classification,
+from refclass.engine import (EngineConfig, EngineError, _Support, _accumulate,
+                             _propagate, _row_blocks, collect_rows, read_classification,
                              run, write_classification)
 from refclass.oracle import dense_run, max_component_difference
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
-from conftest import MALFORMED_TABLES, build_corpus, build_scheme, vec_sum
+from conftest import (MALFORMED_TABLES, build_corpus, build_scheme, from_vectors,
+                      vec_sum)
 
 
 def approx_vec(vec, expected, tol=1e-12):
@@ -114,12 +115,18 @@ def jl_step(blocks, refs, prev):
     return support.csr(), stalled
 
 
+def u1_rows(blocks, refs, prev):
+    """run()'s U1 rows from dense ``refs``, streamed and collected: (CSR rows, stalled)."""
+    stalled = np.zeros(prev.shape[0], dtype=bool)
+    return collect_rows(_propagate(blocks, refs, prev, stalled), prev.shape), stalled
+
+
 def propagate(incidence, refs, prev, masked=False):
     """run()'s paper rows from reference rows ``refs``: (CSR rows, stalled)."""
     blocks = _row_blocks(incidence, refs.shape[1])
     if masked:
         return jl_step(blocks, refs.toarray(), prev)
-    return _propagate(blocks, refs.toarray(), prev)
+    return u1_rows(blocks, refs.toarray(), prev)
 
 
 def reversed_rows(m):
@@ -181,7 +188,7 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
             dense = np.empty((a.shape[0], k))
             _accumulate(blocks, b.toarray(), dense)
             out, stalled = (jl_step(blocks, b.toarray(), prev) if masked
-                            else _propagate(blocks, b.toarray(), prev))
+                            else u1_rows(blocks, b.toarray(), prev))
         if not masked:
             out.sort_indices()
         assert np.array_equal(dense, refs.toarray())
@@ -623,7 +630,7 @@ class TestRun:
 class TestClassificationIO:
     def test_round_trip(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = Classification.from_vectors(
+        c = from_vectors(
             "JL-NF", {"p1": {0: 0.75, 1: 0.25}, "p2": {1: 1.0}},
             unreclassified=1, iterations_run=4,
             residual_trace=[1.0, 0.1], converged=True, stalled=0)
@@ -654,7 +661,7 @@ class TestClassificationIO:
 
     def test_sorted_by_descending_weight(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = Classification.from_vectors("U1-F", {"p1": {0: 0.25, 1: 0.75}})
+        c = from_vectors("U1-F", {"p1": {0: 0.25, 1: 0.75}})
         path = tmp_path / "U1-F.csv"
         write_classification(c, scheme, path)
         lines = path.read_text().splitlines()
@@ -664,7 +671,7 @@ class TestClassificationIO:
 
     def test_writes_are_byte_stable(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = Classification.from_vectors("JL-F", {"p1": {0: 1 / 3, 1: 2 / 3}})
+        c = from_vectors("JL-F", {"p1": {0: 1 / 3, 1: 2 / 3}})
         write_classification(c, scheme, tmp_path / "a.csv")
         write_classification(c, scheme, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

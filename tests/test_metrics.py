@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from refclass import metrics
-from refclass.engine import Classification
 from refclass.metrics import (area_aggregate, area_flow, assignment_histogram,
                               category_correlation, category_sizes,
                               coincidence_percentage, granularity,
@@ -12,7 +11,7 @@ from refclass.metrics import (area_aggregate, area_flow, assignment_histogram,
                               same_area_retention, size_cv)
 from refclass.report import write_report
 
-from conftest import build_corpus, build_scheme
+from conftest import build_corpus, build_scheme, from_vectors
 
 SCHEME = build_scheme(
     [(1102, 1100), (1103, 1100), (1104, 1100), (1202, 1200), (1203, 1200)],
@@ -20,7 +19,7 @@ SCHEME = build_scheme(
 
 
 def classification(vectors, label="X"):
-    return Classification.from_vectors(label, vectors)
+    return from_vectors(label, vectors)
 
 
 class TestSizes:

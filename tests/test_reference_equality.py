@@ -16,10 +16,9 @@ from hypothesis import example, given, strategies as st
 
 from refclass.assign import (DEFAULT_THRESHOLDS, MAX_CATEGORIES, PruneConfig,
                              prune_classification)
-from refclass.engine import Classification
 from refclass.metrics import area_flow, coincidence_percentage, rank_metrics
 
-from conftest import build_scheme
+from conftest import build_scheme, from_vectors
 
 REL_TOL = 1e-12
 _RATIO_EPS = 1e-12
@@ -142,25 +141,30 @@ def wide_vectors(draw):
     return dict(zip(cats, weights[:size]))
 
 
+# rows whose ranking is cut at a tie: one weight past the cap; and 285-wide
+# rows of one weight throughout, or tied from rank three to eight with the
+# heavier entries in the highest columns
+TIES_PAST_THE_CAP = {"p0": dict.fromkeys(range(K), 0.125)}
+WIDE_TIES = {"p0": dict.fromkeys(range(WIDE), 0.125),
+             "p1": {**dict.fromkeys(range(WIDE - 2), 0.001), **dict.fromkeys(range(6), 0.1),
+                    WIDE - 2: 0.3, WIDE - 1: 0.2}}
+
+
 def paper_sets(vector_strategy=vectors()):
     return st.dictionaries(st.sampled_from([f"p{i}" for i in range(12)]),
                            vector_strategy, min_size=1, max_size=12)
 
 
 def matrix(vecs):
-    return Classification.from_vectors("X", vecs)
+    return from_vectors("X", vecs)
 
 
 # ---------------------------------------------------------------------------
 # properties
 
 @given(paper_sets(st.one_of(vectors(), wide_vectors())), THRESHOLDS)
-@example({"p0": dict.fromkeys(range(K), 0.125)}, 0.5)  # ties past the cap
-# 285-wide rows cut at a tie: one weight throughout, and ties from rank three
-# to eight with the heavier entries in the highest columns
-@example({"p0": dict.fromkeys(range(WIDE), 0.125),
-          "p1": {**dict.fromkeys(range(WIDE - 2), 0.001), **dict.fromkeys(range(6), 0.1),
-                 WIDE - 2: 0.3, WIDE - 1: 0.2}}, 0.5)
+@example(TIES_PAST_THE_CAP, 0.5)
+@example(WIDE_TIES, 0.5)
 def test_prune_equals_reference(vecs, t):
     config = PruneConfig(t)
     out = prune_classification(matrix(vecs), config)
