@@ -109,11 +109,13 @@ def _named_paths(items, flag: str, taken=frozenset()) -> dict[str, str]:
 def _read_classifications(paths: dict[str, str], scheme, corpus=None):
     """{NAME: PATH} -> {NAME: classification}.
 
-    With a corpus, every paper a table names must be in it.
+    A table must hold a row.  With a corpus, every paper it names must be in it.
     """
     out = {}
     for name, path in paths.items():
         c = read_classification(path, scheme, label=name)
+        if not c.paper_ids:
+            raise CliError(f"{path}: no classification rows")
         if corpus is not None:
             try:
                 corpus.rows_of(c.paper_ids)

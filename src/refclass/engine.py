@@ -34,19 +34,13 @@ from .scheme import CategoryScheme, read_table
 DEFAULT_PER_PAPER_THRESHOLD = 9.243e-4
 ABSOLUTE_THRESHOLD = 3000.0
 
-# entries formatted per write call, which bounds the memory write_classification needs
-_WRITE_CHUNK_ENTRIES = 65536
-# stored entries per range of row_fsums' Python-level sums, which bounds their float objects
-_FSUM_CHUNK_ENTRIES = 1 << 14
-# stored entries per block of weight_order: bounds the temporaries of a row-length group
-_RANK_BLOCK_ENTRIES = 1 << 16
-# output entries per row block of the loop's dense products: small enough for a
-# block to stay in cache, which keeps the per-iteration cost linear in the paper count
-_PRODUCT_BLOCK_ENTRIES = 1 << 16
-# stored entries per range of the JL support's scatter and compaction (never
-# more than a product block's), whose temporaries cost more per entry than the
-# other passes' (16 bytes and more)
-_SCATTER_ENTRIES = 1 << 14
+# stored or output entries per block or range of every bounded pass: the
+# product blocks stay in cache, which keeps the per-iteration cost linear in
+# the paper count, and the ranking, the writer and the support check hold a
+# block's temporaries only.  The two passes whose temporaries cost 16 bytes or
+# more per entry, or hold Python floats, take a quarter of it: row_fsums' sums
+# and the JL support's scatter and compaction
+_BLOCK_ENTRIES = 1 << 16
 
 
 class EngineError(ValueError):
@@ -132,8 +126,8 @@ def row_fsums(m: sp.csr_matrix) -> np.ndarray:
     ``np.add.reduceat`` gives a row of one or two stored values the value
     itself or their one addition, which is the fsum, and copies no per-row
     value or index array.  Only longer rows need a Python-level fsum; their
-    values become Python floats one range of about ``_FSUM_CHUNK_ENTRIES``
-    entries at a time.
+    values become Python floats one range of about a quarter of
+    ``_BLOCK_ENTRIES`` entries at a time.
     """
     p = m.indptr
     counts = np.diff(p)
@@ -143,7 +137,7 @@ def row_fsums(m: sp.csr_matrix) -> np.ndarray:
         np.add.reduceat(m.data, p[:started], out=out[:started])
         out[counts == 0] = 0.0  # reduceat gives an empty row the next row's first value
     if (counts > 2).any():
-        for lo, hi in _entry_ranges(p, _FSUM_CHUNK_ENTRIES):
+        for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES // 4):
             long = counts[lo:hi] > 2
             values = m.data[p[lo]:p[hi]][np.repeat(long, counts[lo:hi])].tolist()
             bounds = np.concatenate(([0], np.cumsum(counts[lo:hi][long]))).tolist()
@@ -158,7 +152,7 @@ def weight_order(m: sp.csr_matrix, limit: int | None = None):
     in ``m``'s stored order, row by row; their row pointers).  ``m`` must
     have sorted indices, and ``limit`` None ranks every entry.  Rows of equal
     length are ranked together in (rows x length) blocks of at most about
-    ``_RANK_BLOCK_ENTRIES`` entries.  A row longer than ``limit`` is first cut
+    ``_BLOCK_ENTRIES`` entries.  A row longer than ``limit`` is first cut
     by one ``np.partition``: ties at the cut go to the lowest columns.
     """
     counts = np.diff(m.indptr)
@@ -169,7 +163,7 @@ def weight_order(m: sp.csr_matrix, limit: int | None = None):
     for length in lengths[lengths > 0]:
         rows = np.flatnonzero(counts == length)
         kept = length if limit is None else min(length, limit)
-        step = max(1, _RANK_BLOCK_ENTRIES // length)
+        step = max(1, _BLOCK_ENTRIES // length)
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             slots = m.indptr[block][:, None] + np.arange(length)
@@ -198,23 +192,23 @@ def weight_order(m: sp.csr_matrix, limit: int | None = None):
 def _row_blocks(m: sp.csr_matrix, width: int) -> list[tuple[int, sp.csr_matrix]]:
     """(first row, block) pairs covering CSR ``m``, cut at ``indptr`` offsets.
 
-    A block has at most ``_PRODUCT_BLOCK_ENTRIES // width`` rows (at least
-    one), so that its product with a ``width``-column dense operand stays in cache.
+    The rows are cut as ``_entry_ranges`` cuts the output entries of their
+    product with a ``width``-column dense operand, so that it stays in cache.
     """
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // width)
-    n, p = m.shape[0], m.indptr
+    p = m.indptr
     return [(lo, sp.csr_matrix((m.data[p[lo]:p[hi]], m.indices[p[lo]:p[hi]],
                                 p[lo:hi + 1] - p[lo]), shape=(hi - lo, m.shape[1])))
-            for lo, hi in ((lo, min(lo + step, n)) for lo in range(0, n, step))]
+            for lo, hi in _entry_ranges(width * np.arange(m.shape[0] + 1), _BLOCK_ENTRIES)]
 
 
 def _entry_ranges(indptr: np.ndarray, entries: int) -> list[tuple[int, int]]:
     """(first row, end row) ranges covering the rows of ``indptr``.
 
-    Each starts at the first row at or past a multiple of ``entries`` stored
-    entries, so it holds at most ``entries`` entries and one row more.
+    Each starts at the first row at or past a multiple of ``entries`` (at
+    least 1) stored entries, so it holds at most ``entries`` entries and one
+    row more.  This is the one place where rows are cut.
     """
-    bounds = np.searchsorted(indptr, np.arange(0, max(indptr[-1], 1), entries))
+    bounds = np.searchsorted(indptr, np.arange(0, max(indptr[-1], 1), max(entries, 1)))
     bounds = np.unique(np.append(bounds, len(indptr) - 1)).tolist()
     return list(zip(bounds, bounds[1:]))
 
@@ -323,7 +317,7 @@ class _Support:
             a, b = p[lo], p[lo + block.shape[0]]
             np.take(block @ refs, self.local[a:b], out=new[a:b], mode="clip")
         stalled = np.zeros(self.shape[0], dtype=bool)
-        for lo, hi in self._ranges():
+        for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES):
             a, b = p[lo], p[hi]
             counts = np.diff(p[lo:hi + 1])
             part = new[a:b]
@@ -353,7 +347,7 @@ class _Support:
         np.subtract(diff, new, out=diff)
         np.multiply(diff, diff, out=diff)
         end = 0  # the nonzeros go to the front, in order
-        for lo, hi in self._ranges():
+        for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES):
             part = diff[p[lo]:p[hi]]
             part = part[part != 0]
             diff[end:end + len(part)] = part
@@ -364,7 +358,7 @@ class _Support:
         """Make ``new`` the current values and write them times the citing
         scale into ``flat``; an entry that rounded to zero writes 0 and leaves."""
         p, k = self.indptr, self.shape[1]
-        ranges = _entry_ranges(p, min(_SCATTER_ENTRIES, _PRODUCT_BLOCK_ENTRIES))
+        ranges = _entry_ranges(p, _BLOCK_ENTRIES // 4)
         for lo, hi in ranges:
             counts = np.diff(p[lo:hi + 1])
             rows = self.rows[lo:hi]
@@ -384,10 +378,6 @@ class _Support:
                     array[end:indptr[hi]] = array[a:b][keep]
             self.indptr = indptr
             self.values, self.indices, self.local = (array[:indptr[-1]] for array in arrays)
-
-    def _ranges(self) -> list[tuple[int, int]]:
-        """Row ranges of about ``_PRODUCT_BLOCK_ENTRIES`` entries each."""
-        return _entry_ranges(self.indptr, _PRODUCT_BLOCK_ENTRIES)
 
 
 def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, stalled: np.ndarray):
@@ -532,7 +522,7 @@ def _check_support(w, w0, rows):
     """The masked loop must never move weight outside the journal support:
     row ``i`` of ``w`` may hold a nonzero only where row ``rows[i]`` of ``w0``
     does.  Checked one row range at a time, so its temporaries stay bounded."""
-    for lo, hi in _entry_ranges(w.indptr, _PRODUCT_BLOCK_ENTRIES):
+    for lo, hi in _entry_ranges(w.indptr, _BLOCK_ENTRIES):
         if ((w[lo:hi] != 0) > (w0[rows[lo:hi]] != 0)).nnz:
             raise EngineError("support invariant violated: weight outside journal support")
 
@@ -554,10 +544,10 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
     if "," in joined or '"' in joined:
         pids = list(map(_csv_field, pids))
     codes = np.array([cat.code for cat in scheme.categories])
-    # row chunks of about _WRITE_CHUNK_ENTRIES entries, each ranked on its own
+    # row chunks of about _BLOCK_ENTRIES entries, each ranked on its own
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("paper_id,category_code,weight\n")
-        for lo, hi in _entry_ranges(w.indptr, _WRITE_CHUNK_ENTRIES):
+        for lo, hi in _entry_ranges(w.indptr, _BLOCK_ENTRIES):
             part = w[lo:hi]
             order, _ = weight_order(part)
             rows = np.repeat(np.arange(lo, hi), np.diff(part.indptr))

@@ -11,6 +11,7 @@ seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -40,6 +41,15 @@ class SynthParams:
             raise ValueError("need at least one paper and one category")
         if self.seed is None:
             raise ValueError("seed is mandatory")
+        # (field, least, greatest value); n_areas and the pool may be None, for the default
+        for name, lo, hi in (("n_areas", 1, self.n_categories),
+                             ("pool_per_category", 1, math.inf),
+                             ("refs_per_paper_mean", 0, math.inf), ("journal_noise", 0, 1),
+                             ("misc_fraction", 0, 1), ("multidisciplinary_fraction", 0, 1),
+                             ("ref_noise", 0, 1), ("short_ref_fraction", 0, 1)):
+            value = getattr(self, name)
+            if value is not None and not lo <= value <= hi:
+                raise ValueError(f"{name} {value!r} is outside [{lo}, {hi}]")
         bands = self.journal_noise + self.misc_fraction + self.multidisciplinary_fraction
         if bands > 1.0:
             raise ValueError("journal_noise + misc + multidisciplinary fractions exceed 1")
@@ -84,15 +94,10 @@ class SynthCorpus:
 
 def _category_codes(params: SynthParams):
     """Planted label -> category code, plus scheme rows."""
-    n_areas = params.n_areas or max(1, min(params.n_categories, params.n_categories // 4) or 1)
-    n_areas = min(n_areas, params.n_categories)
+    n_areas = params.n_areas or max(1, params.n_categories // 4)
     area_codes = [1100 + 100 * a for a in range(n_areas)]
-    codes = []
-    per_area_next = {a: 0 for a in range(n_areas)}
-    for k in range(params.n_categories):
-        a = k % n_areas
-        codes.append(area_codes[a] + 2 + per_area_next[a])
-        per_area_next[a] += 1
+    # the k-th category is area k % n_areas's (k // n_areas)-th
+    codes = [area_codes[k % n_areas] + 2 + k // n_areas for k in range(params.n_categories)]
     rows = [(MULTI_CODE, MULTI_CODE, "multidisciplinary")]
     for a, area in enumerate(area_codes):
         rows.append((area + 1, area, "misc"))

@@ -130,7 +130,7 @@ def test_one_ranking_for_every_threshold_equals_one_prune_each(vecs, thresholds,
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0]),
                          min_size=1, max_size=9), max_size=12),
-       st.sampled_from([1, 7, 20, engine._RANK_BLOCK_ENTRIES]))
+       st.sampled_from([1, 7, 20, engine._BLOCK_ENTRIES]))
 def test_weight_order_limit_is_a_prefix_of_the_full_ranking(rows, budget):
     # rows with many equal weights, row-length groups ranked in blocks of at
     # most ``budget`` entries: the full ranking follows (descending weight,
@@ -138,7 +138,7 @@ def test_weight_order_limit_is_a_prefix_of_the_full_ranking(rows, budget):
     # at the cut going to the lowest columns
     m = from_vectors(
         "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)}).weights
-    with mock.patch.object(engine, "_RANK_BLOCK_ENTRIES", budget):
+    with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
         full, indptr = engine.weight_order(m)
         assert np.array_equal(indptr, m.indptr)
         for i, row in enumerate(rows):

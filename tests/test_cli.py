@@ -138,7 +138,7 @@ class TestRun:
         generate(SynthParams(n_papers=300, n_categories=categories, n_areas=areas, seed=5,
                              journal_noise=0.3, ref_noise=0.3, multidisciplinary_fraction=0.2,
                              short_ref_fraction=0.2)).write(tmp_path / "corpus")
-        monkeypatch.setattr(engine, "_PRODUCT_BLOCK_ENTRIES", 1 << 12)
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 1 << 12)
         pruned = ["U1-F-0.5", "U1-F-0.8", "U1-NF-0.67"]
         for name, raw in (("streamed", []), ("assembled", ["U1-NF-raw", "U1-F-raw"])):
             assert main(["run", "--dir", str(tmp_path / "corpus"), "--out",
@@ -153,6 +153,36 @@ class TestRun:
                           if line.startswith("F: iterations="))
         meta = json.loads((tmp_path / "streamed" / "U1-F-0.5.csv.meta.json").read_text())
         assert meta["stalled"] > jl_stalled > 0
+
+    @pytest.mark.parametrize("categories, areas", [(16, None), (285, 26)])
+    def test_outputs_do_not_depend_on_the_block_budget(self, tmp_path, monkeypatch,
+                                                       categories, areas):
+        # every bounded pass (the loop's products, the support's ranges, the
+        # U1 blocks, the ranking, the writer's chunks, row_fsums' ranges) cuts
+        # by engine._BLOCK_ENTRIES: a budget of 7 entries, whose quarter is 1,
+        # and one of 2^10 must write the default run's bytes
+        corpus = generate(SynthParams(
+            n_papers=300, n_categories=categories, n_areas=areas, seed=5,
+            journal_noise=0.3, ref_noise=0.3, misc_fraction=0.1,
+            multidisciplinary_fraction=0.2, short_ref_fraction=0.2))
+        corpus.write(tmp_path / "corpus")
+        planted = tmp_path / "planted.csv"
+        planted.write_text("paper_id,category_code,weight\n" + "".join(
+            f"{pid},{code},1.0\n" for pid, code in sorted(corpus.labels.items())))
+        variants = ",".join(list(cli.ALL_VARIANTS) + ["U1-NF-raw", "U1-F-raw", "JL-F-raw"])
+
+        def outputs(budget):
+            monkeypatch.setattr(engine, "_BLOCK_ENTRIES", budget)
+            out = tmp_path / f"out-{budget}"
+            assert main(["run", "--dir", str(tmp_path / "corpus"), "--out", str(out),
+                         "--min-refs", "0", "--variants", variants,
+                         "--compare", f"planted={planted}"]) == 0
+            return read_outputs(out)
+
+        default = outputs(engine._BLOCK_ENTRIES)
+        assert len(default) == 52  # 15 variants and their sidecars, 22 report files
+        for budget in (7, 1 << 10):
+            assert outputs(budget) == default, budget
 
     def test_without_a_raw_u1_variant_the_u1_matrix_is_never_assembled(
             self, corpus_dir, tmp_path, monkeypatch):
@@ -278,6 +308,16 @@ class TestRun:
                      "--variants", "JL-F-0.8", "--compare", f"x={table}"]) == 1
         assert capsys.readouterr().err == (
             f"error: {table}: paper_id not-a-paper is not in the corpus\n")
+
+    def test_empty_compare_table_is_an_error_before_anything_is_written(
+            self, corpus_dir, tmp_path, capsys):
+        table = tmp_path / "empty.csv"
+        table.write_text("paper_id,category_code,weight\n")
+        out = tmp_path / "o"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", "JL-F-0.8", "--compare", f"e={table}"]) == 1
+        assert capsys.readouterr().err == f"error: {table}: no classification rows\n"
+        assert not out.exists()
 
     def test_constant_category_sizes_give_nan_correlation(self, tmp_path):
         # two categories, one paper each: every classification has sizes [1, 1]
@@ -407,6 +447,21 @@ class TestSynthCommand:
         assert read_outputs(tmp_path / "a") == read_outputs(tmp_path / "b")
 
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--areas", "0"], "n_areas"), (["--pool", "0"], "pool_per_category"),
+        (["--areas", "40", "--categories", "8"], "n_areas"),
+        (["--ref-noise", "2"], "ref_noise"), (["--journal-noise", "-0.5"], "journal_noise"),
+        (["--short-ref-fraction", "-1"], "short_ref_fraction"),
+        (["--refs-mean", "-1"], "refs_per_paper_mean")])
+    def test_bad_value_is_an_error_that_names_the_field(self, tmp_path, capsys, flags,
+                                                        field):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--out", str(out), "--seed", "1", "--papers", "30"]
+                    + flags) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} ")
+        assert not out.exists()
+
+
 class TestOracleCommand:
     def test_pass_on_small_corpus(self, corpus_dir, capsys):
         assert main(["oracle", "--dir", str(corpus_dir)]) == 0
@@ -521,6 +576,15 @@ class TestMetricsCommand:
                      "--out", str(tmp_path / "report")]) == 1
         assert capsys.readouterr().err == (
             f"error: {table}: paper_id not-a-paper is not in the corpus\n")
+
+    def test_empty_classification_is_an_error(self, corpus_dir, tmp_path, capsys):
+        table = tmp_path / "empty.csv"
+        table.write_text("paper_id,category_code,weight\n")
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"e={table}",
+                     "--out", str(tmp_path / "report")]) == 1
+        assert capsys.readouterr().err == f"error: {table}: no classification rows\n"
+        assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
     def test_malformed_classification_is_an_error(self, corpus_dir, tmp_path,

@@ -182,8 +182,8 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
     if zero.any():
         rows = (rows + sp.diags(zero.astype(float)) @ prev).tocsr()
         rows.sort_indices()
-    for budget in (1, 2, k, engine._PRODUCT_BLOCK_ENTRIES):
-        with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
+    for budget in (1, 2, k, engine._BLOCK_ENTRIES):
+        with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
             blocks = _row_blocks(a, k)
             dense = np.empty((a.shape[0], k))
             _accumulate(blocks, b.toarray(), dense)
@@ -304,9 +304,9 @@ ENGINE_CONFIGS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(corpus=engine_corpora(), config=ENGINE_CONFIGS,
-       budget=st.sampled_from([1, 2, engine._PRODUCT_BLOCK_ENTRIES]))
+       budget=st.sampled_from([1, 2, engine._BLOCK_ENTRIES]))
 def test_run_equals_sparse_step_composition_bit_for_bit(corpus, config, budget):
-    with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", budget):
+    with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
         if not (corpus.ref_counts >= config.min_refs).any():
             with pytest.raises(EngineError, match="no eligible papers"):
                 run(corpus, config)

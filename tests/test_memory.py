@@ -106,7 +106,7 @@ def test_cli_weighting_without_a_raw_u1_variant_holds_no_u1_matrix(tmp_path):
     # the CLI's engine and prune path for one weighting, as on the
     # dense-converge workload (285 categories, nearly full U1 rows, JL and U1
     # pruned): the U1 rows are pruned one row block at a time as the U1 pass
-    # makes them, so the JL loop sets the traced peak at 2.85 papers x
+    # makes them, so the JL loop sets the traced peak at 2.84 papers x
     # categories x 8 bytes (3.03 with the support's scatter in ranges of 2^16
     # entries; 3.11 when the U1 rows were assembled whole, 12 bytes per entry,
     # and then pruned)
@@ -134,7 +134,7 @@ def test_jl_support_costs_at_most_28_bytes_per_entry():
     # intp product position and a citing scale per entry), and each of its
     # passes goes one row block or range at a time.  Built from a slice of the
     # journal rows and stepped three times, with entries leaving, its traced
-    # peak is 24.4 bytes per entry (56.3 with the 44-byte entries and a sorted
+    # peak is 24.2 bytes per entry (56.3 with the 44-byte entries and a sorted
     # copy of the slice); the blocks are cut small, so that their
     # temporaries stay small beside it
     rng = np.random.default_rng(0)
@@ -154,7 +154,7 @@ def test_jl_support_costs_at_most_28_bytes_per_entry():
             support.advance(new, flat)
         return support
 
-    with mock.patch.object(engine, "_PRODUCT_BLOCK_ENTRIES", 1 << 12):
+    with mock.patch.object(engine, "_BLOCK_ENTRIES", 1 << 12):
         blocks = _row_blocks(incidence, k)
         support, peak, _ = traced(steps)
     assert 0 < len(support.values) < 0.9 * w0.nnz

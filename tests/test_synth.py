@@ -60,3 +60,21 @@ class TestGenerate:
     def test_seed_mandatory(self):
         with pytest.raises(TypeError):
             SynthParams(n_papers=10, n_categories=2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_areas", 0), ("n_areas", 9), ("pool_per_category", 0),
+        ("refs_per_paper_mean", -1.0), ("refs_per_paper_mean", float("nan")),
+        ("journal_noise", -0.5), ("misc_fraction", 1.5),
+        ("multidisciplinary_fraction", -0.1), ("ref_noise", 2.0),
+        ("ref_noise", float("nan")), ("short_ref_fraction", -1.0),
+        ("short_ref_fraction", 1.01)])
+    def test_bad_value_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SynthParams(n_papers=10, n_categories=8, seed=1, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_areas", 1), ("n_areas", 8), ("pool_per_category", 1),
+        ("refs_per_paper_mean", 0.0), ("ref_noise", 1.0), ("short_ref_fraction", 1.0),
+        ("journal_noise", 0.0)])
+    def test_bounds_are_accepted(self, field, value):
+        generate(SynthParams(n_papers=10, n_categories=8, seed=1, **{field: value}))
