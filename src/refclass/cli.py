@@ -128,7 +128,8 @@ def _read_classifications(paths: dict[str, str], scheme, corpus=None):
 def _initial_classification(corpus, min_refs: int) -> Classification:
     """The journal vectors of the papers with at least ``min_refs`` references."""
     rows, eligible = eligible_rows(corpus, min_refs)
-    return Classification("initial", eligible, corpus.matrices()[1][rows],
+    return Classification("initial", eligible,
+                          corpus.journal_weights[corpus.paper_journal[rows]],
                           unreclassified=len(corpus) - len(eligible))
 
 
@@ -227,7 +228,7 @@ def _variants(jl, u1_rows, u1_stalled, wanted) -> dict[str, Classification]:
 def _stage_line(stage: str, t0: float) -> str:
     """A run.log line: the stage's wall time since ``t0`` and the process's peak RSS so far."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return f"stage={stage} seconds={time.perf_counter() - t0:.2f} peak_rss_mib={peak:.0f}"
+    return f"stage={stage} seconds={time.perf_counter() - t0:.2f} peak_rss_mib={peak:.1f}"
 
 
 def cmd_synth(args) -> int:

@@ -2,12 +2,12 @@
 
 The tables are streamed in chunks of rows whose ids become integer codes
 chunk by chunk, so no table is ever held as Python rows.  A Corpus is the
-sorted paper ids, the sorted reference ids, each paper's journal and three
-arrays in that canonical row and column order: the papers x references
-incidence (reference slots keep multiplicity: a paper citing the same
-source twice contributes twice), the papers x categories initial weights
-(each paper's journal vector) and the reference-slot count of each paper.
-A Corpus is immutable after construction.
+sorted paper ids, the sorted reference ids, the journals' vectors, each
+paper's journal and two arrays in that canonical row and column order: the
+papers x references incidence (reference slots keep multiplicity: a paper
+citing the same source twice contributes twice) and the reference-slot
+count of each paper.  A paper's initial weights are its journal's vector,
+held once per journal.  A Corpus is immutable after construction.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ class CorpusError(ValueError):
 class Corpus:
     """Paper and reference ids plus the matrices the engine runs on.
 
-    Row ``i`` of ``incidence`` (papers x references, citation counts),
-    ``initial`` (papers x categories, rows summing to 1) and ``ref_counts``
-    belongs to ``paper_ids[i]``; column ``j`` of ``incidence`` belongs to
-    ``ref_ids[j]``.  Both id tuples are sorted.  ``paper_journal[i]`` is the
-    index of paper ``i``'s journal in ``journals``.
+    Row ``i`` of ``incidence`` (papers x references, citation counts) and
+    ``ref_counts`` belongs to ``paper_ids[i]``; column ``j`` of
+    ``incidence`` belongs to ``ref_ids[j]``.  Both id tuples are sorted.
+    ``paper_journal[i]`` is the index of paper ``i``'s journal in
+    ``journals`` and its row in ``journal_weights`` (journals x categories,
+    rows summing to 1).
     """
 
     scheme: CategoryScheme
@@ -48,15 +49,21 @@ class Corpus:
     ref_ids: tuple[str, ...]
     paper_journal: np.ndarray
     incidence: sp.csr_matrix
-    initial: sp.csr_matrix
+    journal_weights: sp.csr_matrix
     ref_counts: np.ndarray
     _rows_by_ids: list = field(default_factory=list, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.paper_ids)
 
+    @property
+    def initial(self) -> sp.csr_matrix:
+        """Papers x categories, each row the paper's journal vector; built on each read."""
+        return self.journal_weights[self.paper_journal]
+
     def matrices(self):
-        """(incidence, initial_weights, ref_counts) in canonical row/col order."""
+        """(incidence, initial, ref_counts) in canonical row/col order; ``initial``
+        is built on each call."""
         return self.incidence, self.initial, self.ref_counts
 
     @cached_property
@@ -130,8 +137,7 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme) -
     paper_journal = paper_journal[np.argsort(paper_rank)]
     return Corpus(
         scheme=scheme, journals=journals, paper_ids=paper_ids, ref_ids=ref_ids,
-        paper_journal=paper_journal, incidence=incidence,
-        initial=journal_weights[paper_journal],
+        paper_journal=paper_journal, incidence=incidence, journal_weights=journal_weights,
         ref_counts=np.bincount(rows, minlength=len(paper_ids)))
 
 

@@ -37,9 +37,9 @@ ABSOLUTE_THRESHOLD = 3000.0
 # stored or output entries per block or range of every bounded pass: the
 # product blocks stay in cache, which keeps the per-iteration cost linear in
 # the paper count, and the ranking, the writer and the support check hold a
-# block's temporaries only.  The two passes whose temporaries cost 16 bytes or
+# block's temporaries only.  The passes whose temporaries cost 16 bytes or
 # more per entry, or hold Python floats, take a quarter of it: row_fsums' sums
-# and the JL support's scatter and compaction
+# and the JL support's construction, scatter, compaction and final columns
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -192,13 +192,18 @@ def weight_order(m: sp.csr_matrix, limit: int | None = None):
 def _row_blocks(m: sp.csr_matrix, width: int) -> list[tuple[int, sp.csr_matrix]]:
     """(first row, block) pairs covering CSR ``m``, cut at ``indptr`` offsets.
 
-    The rows are cut as ``_entry_ranges`` cuts the output entries of their
+    A block's data and indices are views of ``m``'s, set once the block is
+    made: scipy's constructor copies a view shorter than half its base.  The
+    rows are cut as ``_entry_ranges`` cuts the output entries of their
     product with a ``width``-column dense operand, so that it stays in cache.
     """
-    p = m.indptr
-    return [(lo, sp.csr_matrix((m.data[p[lo]:p[hi]], m.indices[p[lo]:p[hi]],
-                                p[lo:hi + 1] - p[lo]), shape=(hi - lo, m.shape[1])))
-            for lo, hi in _entry_ranges(width * np.arange(m.shape[0] + 1), _BLOCK_ENTRIES)]
+    p, blocks = m.indptr, []
+    for lo, hi in _entry_ranges(width * np.arange(m.shape[0] + 1), _BLOCK_ENTRIES):
+        block = sp.csr_matrix((hi - lo, m.shape[1]), dtype=m.dtype)
+        block.indptr = p[lo:hi + 1] - p[lo]
+        block.indices, block.data = m.indices[p[lo]:p[hi]], m.data[p[lo]:p[hi]]
+        blocks.append((lo, block))
+    return blocks
 
 
 def _entry_ranges(indptr: np.ndarray, entries: int) -> list[tuple[int, int]]:
@@ -267,85 +272,100 @@ def _accumulate(blocks, scaled: np.ndarray, refs: np.ndarray) -> None:
 class _Support:
     """The eligible papers' JL support, kept as arrays across the loop's steps.
 
-    Row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]`` in ascending column
-    order, with its current ``values``; in the citing-weights buffer it is
-    row ``rows[i]``, scaled by ``scale[rows[i]]``.  An entry costs 24 bytes:
-    its int32 column, its int32 position ``local`` in its row block's
-    product, its value and a spare value for the next step.  Every pass over
-    the entries goes one row block or range at a time, so its index and
-    product temporaries are bounded by one.  The support only shrinks: an
-    entry leaves when its new value rounds to zero.
+    Row ``i`` is paper row ``rows[i]``, scaled by ``scale[rows[i]]`` in the
+    papers x categories citing buffer.  Its entries are
+    ``values[indptr[i]:indptr[i + 1]]`` in ascending column order, and
+    ``pos`` holds each entry's flat index in that buffer, ``rows[i] * k`` plus
+    its column.  An entry costs 12 bytes: its value and its position, int32
+    while papers x categories stays below 2^31.  A step's new values live in
+    the citing buffer at ``pos`` from ``propagate`` to ``advance``, while
+    ``values`` holds each entry's squared change for ``residual``: no pass
+    reads those slots in between.  Every pass over the entries goes one row
+    block or range at a time, so its temporaries are bounded by one.  The
+    support only shrinks: an entry leaves when its new value rounds to zero.
     """
 
-    def __init__(self, m: sp.csr_matrix, rows: np.ndarray, scale: np.ndarray, blocks):
-        """Takes over ``m``'s arrays, whose indices it sorts in place.
-
-        ``blocks`` are the row blocks of ``m``'s rows that ``propagate`` takes.
-        """
-        m.sort_indices()
-        self.shape = m.shape
-        self.indptr, self.indices, self.values = m.indptr, m.indices, m.data
+    def __init__(self, weights: sp.csr_matrix, journal: np.ndarray, rows: np.ndarray,
+                 scale: np.ndarray):
+        """Row ``i`` starts as row ``journal[rows[i]]`` of ``weights``, sorted;
+        the citing buffer has a row per item of ``scale``."""
+        k = weights.shape[1]
+        self.shape = (len(rows), k)
         self.rows, self.scale = rows, scale
-        self._spare = np.empty_like(self.values)
-        p, k = self.indptr, self.shape[1]
-        self.local = np.empty(len(self.values), dtype=np.int32)
-        for lo, block in blocks:
-            hi = lo + block.shape[0]
-            local = self.local[p[lo]:p[hi]]
-            local[...] = np.repeat(np.arange(0, (hi - lo) * k, k), np.diff(p[lo:hi + 1]))
-            local += self.indices[p[lo]:p[hi]]
+        counts = np.diff(weights.indptr)[journal[rows]]
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.values = np.empty(self.indptr[-1])
+        self.pos = np.empty(self.indptr[-1],
+                            dtype=np.int32 if len(scale) * k < 2**31 else np.int64)
+        for lo, hi in _entry_ranges(self.indptr, _BLOCK_ENTRIES // 4):
+            part = weights[journal[rows[lo:hi]]]
+            part.sort_indices()
+            a, b = self.indptr[lo], self.indptr[hi]
+            self.values[a:b] = part.data
+            pos = self.pos[a:b]
+            pos[...] = np.repeat(rows[lo:hi] * k, counts[lo:hi])
+            pos += part.indices
 
     def csr(self) -> sp.csr_matrix:
         """The current rows as canonical CSR, on the support's own arrays.
 
-        After an ``advance`` the support holds no zero.
+        It turns the positions into columns in place, so it ends the
+        support's use.  After an ``advance`` the support holds no zero.
         """
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=self.shape)
+        p, k = self.indptr, self.shape[1]
+        for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES // 4):
+            self.pos[p[lo]:p[hi]] -= np.repeat(self.rows[lo:hi] * k, np.diff(p[lo:hi + 1]))
+        return sp.csr_matrix((self.values, self.pos.astype(np.int32, copy=False), p),
+                             shape=self.shape)
 
-    def propagate(self, blocks, refs: np.ndarray):
-        """The support's entries of ``blocks`` @ ``refs``, rows scaled to unit sum.
+    def propagate(self, blocks, refs: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Write the support's entries of ``blocks`` @ ``refs``, rows scaled to
+        unit sum, into the flat citing buffer at ``pos``; return the stalled rows.
 
-        ``blocks`` are the row blocks the support was built with.  A row is
-        divided by the sum of its nonzeros in column order, as scipy sums the
-        masked product's row.  A row without a nonzero stalls: it keeps its
-        current values.  Returns (the new values aligned with the support, 0
-        where an entry rounds to zero; the stalled rows).
+        ``blocks`` are row blocks of every paper row; a block without a
+        support row is skipped.  A row is divided by the sum of its nonzeros
+        in column order, as scipy sums the masked product's row.  A row
+        without a nonzero stalls: it writes its current values.  A new value
+        may be 0.  Each current value becomes its squared change, taken while
+        the block's new values are at hand, which saves ``residual`` a pass
+        over the citing buffer.
         """
-        new = self._spare[:len(self.values)]
-        p = self.indptr
-        for lo, block in blocks:
-            a, b = p[lo], p[lo + block.shape[0]]
-            np.take(block @ refs, self.local[a:b], out=new[a:b], mode="clip")
+        p, k, pos = self.indptr, self.shape[1], self.pos
         stalled = np.zeros(self.shape[0], dtype=bool)
-        for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES):
-            a, b = p[lo], p[hi]
-            counts = np.diff(p[lo:hi + 1])
-            part = new[a:b]
+        for lo, block in blocks:
+            first, end = np.searchsorted(self.rows, (lo, lo + block.shape[0]))
+            if first == end:
+                continue
+            a, b = p[first], p[end]
+            part = np.take(block @ refs, pos[a:b] - lo * k, mode="clip")
+            counts = np.diff(p[first:end + 1])
             nonzero = counts
             if np.count_nonzero(part) < len(part):
                 keep = part != 0
-                nonzero = np.diff(kept_indptr(keep, p[lo:hi + 1] - a))
+                nonzero = np.diff(kept_indptr(keep, p[first:end + 1] - a))
                 sums = _row_sums(part[keep], nonzero)
             else:
                 sums = _row_sums(part, counts)
             part /= np.repeat(sums, counts)
-            stall = stalled[lo:hi] = nonzero == 0
+            stall = stalled[first:end] = nonzero == 0
             if stall.any():
                 held = np.repeat(stall, counts)
                 part[held] = self.values[a:b][held]
-        return new, stalled
+            flat[pos[a:b]] = part
+            change = self.values[a:b]
+            change -= part
+            change *= change
+        return stalled
 
-    def residual(self, new: np.ndarray) -> float:
-        """Total squared change from the current values to ``new``.
+    def residual(self) -> float:
+        """Total of the squared changes ``propagate`` left in ``values``.
 
         These are the terms, in the order, of scipy's
         ``diff.multiply(diff).sum()``, which sorts its operand's indices
         before it sums: the nonzero squared differences in (row, column)
-        order.  The current values are overwritten.
+        order, compacted in place.
         """
         diff, p = self.values, self.indptr
-        np.subtract(diff, new, out=diff)
-        np.multiply(diff, diff, out=diff)
         end = 0  # the nonzeros go to the front, in order
         for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES):
             part = diff[p[lo]:p[hi]]
@@ -354,51 +374,60 @@ class _Support:
             end += len(part)
         return float(np.sum(diff[:end]))
 
-    def advance(self, new: np.ndarray, flat: np.ndarray) -> None:
-        """Make ``new`` the current values and write them times the citing
-        scale into ``flat``; an entry that rounded to zero writes 0 and leaves."""
-        p, k = self.indptr, self.shape[1]
+    def advance(self, flat: np.ndarray) -> None:
+        """Make the new values in ``flat`` the current ones and write them times
+        the citing scale back; an entry that rounded to zero writes 0 and leaves."""
+        p, values, pos = self.indptr, self.values, self.pos
         ranges = _entry_ranges(p, _BLOCK_ENTRIES // 4)
         for lo, hi in ranges:
-            counts = np.diff(p[lo:hi + 1])
-            rows = self.rows[lo:hi]
-            pos = np.repeat(rows * k, counts)
-            pos += self.indices[p[lo]:p[hi]]
-            scaled = np.repeat(self.scale[rows], counts)
-            scaled *= new[p[lo]:p[hi]]
-            flat[pos] = scaled
-        self._spare, self.values = self.values, new
-        if np.count_nonzero(new) < len(new):  # the nonzeros go to the front, in order
-            indptr, arrays = np.zeros_like(p), (new, self.indices, self.local)
+            a, b = p[lo], p[hi]
+            at = pos[a:b].astype(np.intp)  # converted once for the gather and the scatter
+            np.take(flat, at, out=values[a:b])
+            scaled = np.repeat(self.scale[self.rows[lo:hi]], np.diff(p[lo:hi + 1]))
+            scaled *= values[a:b]
+            flat[at] = scaled
+        if np.count_nonzero(values) < len(values):  # the nonzeros go to the front, in order
+            indptr = np.zeros_like(p)
             for lo, hi in ranges:
                 a, b, end = p[lo], p[hi], indptr[lo]
-                keep = new[a:b] != 0
+                keep = values[a:b] != 0
                 indptr[lo:hi + 1] = end + kept_indptr(keep, p[lo:hi + 1] - a)
-                for array in arrays:
+                for array in (values, pos):
                     array[end:indptr[hi]] = array[a:b][keep]
             self.indptr = indptr
-            self.values, self.indices, self.local = (array[:indptr[-1]] for array in arrays)
+            self.values, self.pos = values[:indptr[-1]], pos[:indptr[-1]]
 
 
-def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, stalled: np.ndarray):
+def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, rows: np.ndarray,
+               stalled: np.ndarray):
     """U1 rows as canonical CSR row blocks: sums of cited reference rows, renormalized.
 
-    ``blocks`` are the row blocks of the eligible papers x references
-    incidence; each block of rows is computed when it is taken.  A row is
-    divided by the sum of its nonzeros in column order; a row whose sum
-    vanishes takes ``prev``'s row and is marked in the bool mask ``stalled``.
-    Each block is compacted once, to its nonzeros.
+    ``blocks`` are the row blocks of the papers x references incidence;
+    row ``i`` of ``prev`` and of the output is its row ``rows[i]``, in
+    ascending order.  Each block of rows is computed when it is taken, and
+    a block without such a row is skipped.  A row is divided by the sum of
+    its nonzeros in column order; a row whose sum vanishes takes ``prev``'s
+    row and is marked in the bool mask ``stalled``.  Each block is
+    compacted once, to the nonzeros of its rows of ``rows``.
     """
     k = prev.shape[1]
     columns = np.arange(k, dtype=np.int32)
     for lo, block in blocks:
         hi = lo + block.shape[0]
+        first, end = np.searchsorted(rows, (lo, hi))
+        if first == end:
+            continue
+        mine = rows[first:end] - lo
         part = block @ refs
-        zero = stalled[lo:hi] = ~part.any(axis=1)
+        zero = stalled[first:end] = ~part.any(axis=1)[mine]
         if zero.any():
-            part[zero] = prev[lo:hi][zero].toarray()
+            part[mine[zero]] = prev[first:end][zero].toarray()
         keep = part != 0
-        nonzero = np.count_nonzero(keep, axis=1)
+        if len(mine) < len(keep):
+            other = np.ones(len(keep), dtype=bool)
+            other[mine] = False
+            keep[other] = False
+        nonzero = np.count_nonzero(keep, axis=1)[mine]
         values = part[keep]
         del part
         indices = np.broadcast_to(columns, keep.shape)[keep]
@@ -411,7 +440,7 @@ def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, stalled: np.ndarra
             keep = values != 0
             indptr = kept_indptr(keep, indptr)
             values, indices = values[keep], indices[keep]
-        yield sp.csr_matrix((values, indices, indptr), shape=(hi - lo, k))
+        yield sp.csr_matrix((values, indices, indptr), shape=(end - first, k))
         del values, indices  # the next block is made without this one
 
 
@@ -448,8 +477,9 @@ def propagate(corpus: Corpus, config: EngineConfig):
     right operands are two dense buffers, updated in place; the eligible
     papers' JL rows are a ``_Support``, and CSR only for the output.
     """
-    incidence, w0, ref_counts = corpus.matrices()
-    k = w0.shape[1]
+    incidence, ref_counts = corpus.incidence, corpus.ref_counts
+    weights, journal = corpus.journal_weights, corpus.paper_journal
+    n, k = len(corpus.paper_ids), weights.shape[1]
     elig_rows, elig_ids = eligible_rows(corpus, config.min_refs)
     if not len(elig_rows):
         raise EngineError("no eligible papers")
@@ -457,38 +487,42 @@ def propagate(corpus: Corpus, config: EngineConfig):
     # each citing paper's vector is scaled by 1 / its reference count (F) and by
     # 0 outside the scope: zero terms add exact zeros to the reference sums,
     # which leaves the other terms' sums as they are
-    scale = np.ones(len(corpus.paper_ids))
+    scale = np.ones(n)
     if config.fractional:
-        scale = np.divide(1.0, ref_counts, out=np.zeros(len(scale)), where=ref_counts > 0)
+        scale = np.divide(1.0, ref_counts, out=np.zeros(n), where=ref_counts > 0)
     if not config.include_ineligible_citers:
         scale[ref_counts < config.min_refs] = 0.0
 
-    # the row blocks hold each slot once: the matrices they are cut from are
-    # dropped as soon as they are cut
+    # row blocks are views: the citing blocks of the transpose, which only they
+    # keep, and the paper blocks of incidence, every paper row
     citing_blocks = _row_blocks(incidence.T.tocsr(), k)
-    paper_blocks = _row_blocks(incidence[elig_rows], k)
+    paper_blocks = _row_blocks(incidence, k)
     # the loop's dense operands: every paper's current vector times its scale
     # (ineligible papers keep their journal vector) and the reference vectors
-    scaled = w0.toarray()
+    scaled = np.empty((n, k))
+    for lo, hi in _entry_ranges(k * np.arange(n + 1), _BLOCK_ENTRIES):
+        weights[journal[lo:hi]].toarray(out=scaled[lo:hi])
     scaled *= scale[:, None]
+    flat = scaled.reshape(-1)  # the support's positions index it
     refs = np.empty((incidence.shape[1], k))
-    support = _Support(w0[elig_rows], elig_rows, scale, paper_blocks)
+    support = _Support(weights, journal, elig_rows, scale)
 
     threshold = config.effective_threshold(len(elig_ids))
     trace: list[float] = []
     stalled = 0
     for _ in range(config.max_iterations):
         _accumulate(citing_blocks, scaled, refs)
-        new, zero = support.propagate(paper_blocks, refs)
-        trace.append(support.residual(new))
-        support.advance(new, scaled.reshape(-1))
+        zero = support.propagate(paper_blocks, refs, flat)
+        trace.append(support.residual())
+        support.advance(flat)
         stalled += int(zero.sum())
         if trace[-1] < threshold:
             break
     jl_rows = support.csr()
-    del support, new  # the U1 pass needs neither the spare values nor the positions
-    _check_support(jl_rows, w0, elig_rows)
+    del support  # the U1 pass needs no positions
     _accumulate(citing_blocks, scaled, refs)  # the reference vectors the U1 pass reads
+    del citing_blocks, scaled, flat  # the check and the U1 pass read neither
+    _check_support(jl_rows, weights, journal, elig_rows)
     jl = Classification(
         variant_label=f"JL-{config.weight_label}",
         paper_ids=elig_ids,
@@ -500,7 +534,7 @@ def propagate(corpus: Corpus, config: EngineConfig):
         stalled=stalled,
     )
     u1_stalled = np.zeros(len(elig_ids), dtype=bool)
-    return jl, _propagate(paper_blocks, refs, jl_rows, u1_stalled), u1_stalled
+    return jl, _propagate(paper_blocks, refs, jl_rows, elig_rows, u1_stalled), u1_stalled
 
 
 def unlimited(jl: Classification, weights: sp.csr_matrix,
@@ -518,12 +552,13 @@ def run(corpus: Corpus, config: EngineConfig):
     return jl, unlimited(jl, collect_rows(rows, jl.weights.shape), stalled)
 
 
-def _check_support(w, w0, rows):
+def _check_support(w, weights, journal, rows):
     """The masked loop must never move weight outside the journal support:
-    row ``i`` of ``w`` may hold a nonzero only where row ``rows[i]`` of ``w0``
-    does.  Checked one row range at a time, so its temporaries stay bounded."""
+    row ``i`` of ``w`` may hold a nonzero only where row ``journal[rows[i]]``
+    of ``weights`` does.  Checked one row range at a time, so its temporaries
+    stay bounded."""
     for lo, hi in _entry_ranges(w.indptr, _BLOCK_ENTRIES):
-        if ((w[lo:hi] != 0) > (w0[rows[lo:hi]] != 0)).nnz:
+        if ((w[lo:hi] != 0) > (weights[journal[rows[lo:hi]]] != 0)).nnz:
             raise EngineError("support invariant violated: weight outside journal support")
 
 

@@ -21,6 +21,10 @@ RNG_ALGORITHM = "numpy-default-rng-pcg64"
 
 MULTI_CODE = 1000
 
+# the largest mean numpy's Poisson sampler accepts: int64's maximum less ten
+# of its square roots, as numpy computes it
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10 * math.sqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class SynthParams:
@@ -44,7 +48,8 @@ class SynthParams:
         # (field, least, greatest value); n_areas and the pool may be None, for the default
         for name, lo, hi in (("n_areas", 1, self.n_categories),
                              ("pool_per_category", 1, math.inf),
-                             ("refs_per_paper_mean", 0, math.inf), ("journal_noise", 0, 1),
+                             ("refs_per_paper_mean", 0, POISSON_MEAN_MAX),
+                             ("journal_noise", 0, 1),
                              ("misc_fraction", 0, 1), ("multidisciplinary_fraction", 0, 1),
                              ("ref_noise", 0, 1), ("short_ref_fraction", 0, 1)):
             value = getattr(self, name)

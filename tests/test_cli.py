@@ -63,6 +63,35 @@ class TestParseVariant:
             parse_variant("U1-NF-1.5")
 
 
+def assert_outputs_do_not_depend_on_the_block_budget(tmp_path, monkeypatch, categories,
+                                                     areas, flags):
+    """``refclass run FLAGS`` with all 12 variants, three raw ones and a
+    --compare table writes the same 52 files at budgets of 7 and 2^10 entries
+    as at the default, on a 300-paper corpus with 20% short-reference papers."""
+    corpus = generate(SynthParams(
+        n_papers=300, n_categories=categories, n_areas=areas, seed=5,
+        journal_noise=0.3, ref_noise=0.3, misc_fraction=0.1,
+        multidisciplinary_fraction=0.2, short_ref_fraction=0.2))
+    corpus.write(tmp_path / "corpus")
+    planted = tmp_path / "planted.csv"
+    planted.write_text("paper_id,category_code,weight\n" + "".join(
+        f"{pid},{code},1.0\n" for pid, code in sorted(corpus.labels.items())))
+    variants = ",".join(list(cli.ALL_VARIANTS) + ["U1-NF-raw", "U1-F-raw", "JL-F-raw"])
+
+    def outputs(budget):
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", budget)
+        out = tmp_path / f"out-{budget}"
+        assert main(["run", "--dir", str(tmp_path / "corpus"), "--out", str(out),
+                     *flags, "--variants", variants,
+                     "--compare", f"planted={planted}"]) == 0
+        return read_outputs(out)
+
+    default = outputs(engine._BLOCK_ENTRIES)
+    assert len(default) == 52  # 15 variants and their sidecars, 22 report files
+    for budget in (7, 1 << 10):
+        assert outputs(budget) == default, budget
+
+
 class TestRun:
     def test_produces_all_twelve_variants(self, corpus_dir, tmp_path):
         out = tmp_path / "out"
@@ -81,7 +110,7 @@ class TestRun:
         for _, seconds, peak in stages:
             assert seconds.startswith("seconds=") and float(seconds[8:]) >= 0
             assert peak.startswith("peak_rss_mib=")
-            peaks.append(int(peak[13:]))
+            peaks.append(float(peak[13:]))
         assert 0 < peaks[0] and peaks == sorted(peaks)
         assert (out / "report" / "structure.csv").exists()
         assert (out / "report" / "retention.csv").exists()
@@ -160,29 +189,19 @@ class TestRun:
         # every bounded pass (the loop's products, the support's ranges, the
         # U1 blocks, the ranking, the writer's chunks, row_fsums' ranges) cuts
         # by engine._BLOCK_ENTRIES: a budget of 7 entries, whose quarter is 1,
-        # and one of 2^10 must write the default run's bytes
-        corpus = generate(SynthParams(
-            n_papers=300, n_categories=categories, n_areas=areas, seed=5,
-            journal_noise=0.3, ref_noise=0.3, misc_fraction=0.1,
-            multidisciplinary_fraction=0.2, short_ref_fraction=0.2))
-        corpus.write(tmp_path / "corpus")
-        planted = tmp_path / "planted.csv"
-        planted.write_text("paper_id,category_code,weight\n" + "".join(
-            f"{pid},{code},1.0\n" for pid, code in sorted(corpus.labels.items())))
-        variants = ",".join(list(cli.ALL_VARIANTS) + ["U1-NF-raw", "U1-F-raw", "JL-F-raw"])
+        # and one of 2^10 must write the default run's bytes.  With --min-refs
+        # 0 every row is eligible, and the short-reference rows stall
+        assert_outputs_do_not_depend_on_the_block_budget(
+            tmp_path, monkeypatch, categories, areas, ["--min-refs", "0"])
 
-        def outputs(budget):
-            monkeypatch.setattr(engine, "_BLOCK_ENTRIES", budget)
-            out = tmp_path / f"out-{budget}"
-            assert main(["run", "--dir", str(tmp_path / "corpus"), "--out", str(out),
-                         "--min-refs", "0", "--variants", variants,
-                         "--compare", f"planted={planted}"]) == 0
-            return read_outputs(out)
-
-        default = outputs(engine._BLOCK_ENTRIES)
-        assert len(default) == 52  # 15 variants and their sidecars, 22 report files
-        for budget in (7, 1 << 10):
-            assert outputs(budget) == default, budget
+    @pytest.mark.parametrize("categories, areas", [(16, None), (285, 26)])
+    def test_outputs_with_ineligible_rows_do_not_depend_on_the_block_budget(
+            self, tmp_path, monkeypatch, categories, areas):
+        # at the default --min-refs 3 a fifth of the papers are ineligible:
+        # the paper blocks cover every row, so a block mixes eligible and
+        # ineligible rows and its support entries start mid-block
+        assert_outputs_do_not_depend_on_the_block_budget(
+            tmp_path, monkeypatch, categories, areas, [])
 
     def test_without_a_raw_u1_variant_the_u1_matrix_is_never_assembled(
             self, corpus_dir, tmp_path, monkeypatch):
@@ -452,7 +471,10 @@ class TestSynthCommand:
         (["--areas", "40", "--categories", "8"], "n_areas"),
         (["--ref-noise", "2"], "ref_noise"), (["--journal-noise", "-0.5"], "journal_noise"),
         (["--short-ref-fraction", "-1"], "short_ref_fraction"),
-        (["--refs-mean", "-1"], "refs_per_paper_mean")])
+        (["--refs-mean", "-1"], "refs_per_paper_mean"),
+        (["--refs-mean", "inf"], "refs_per_paper_mean"),
+        (["--refs-mean", "1e19"], "refs_per_paper_mean"),
+        (["--refs-mean", "nan"], "refs_per_paper_mean")])
     def test_bad_value_is_an_error_that_names_the_field(self, tmp_path, capsys, flags,
                                                         field):
         out = tmp_path / "corpus"

@@ -109,16 +109,19 @@ def jl_step(blocks, refs, prev):
     """run()'s JL rows on ``prev``'s support from dense ``refs``: (canonical CSR
     rows, stalled)."""
     n, k = prev.shape
-    support = _Support(prev.copy(), np.arange(n), np.ones(n), blocks)
-    new, stalled = support.propagate(blocks, refs)
-    support.advance(new, np.zeros(n * k))
+    support = _Support(prev, np.arange(n), np.arange(n), np.ones(n))
+    flat = np.zeros(n * k)
+    stalled = support.propagate(blocks, refs, flat)
+    support.advance(flat)
     return support.csr(), stalled
 
 
 def u1_rows(blocks, refs, prev):
     """run()'s U1 rows from dense ``refs``, streamed and collected: (CSR rows, stalled)."""
-    stalled = np.zeros(prev.shape[0], dtype=bool)
-    return collect_rows(_propagate(blocks, refs, prev, stalled), prev.shape), stalled
+    n = prev.shape[0]
+    stalled = np.zeros(n, dtype=bool)
+    return collect_rows(_propagate(blocks, refs, prev, np.arange(n), stalled),
+                        prev.shape), stalled
 
 
 def propagate(incidence, refs, prev, masked=False):
@@ -251,7 +254,8 @@ def reference_run(corpus, config):
 
 
 def matrix_corpus(incidence, weights):
-    """A Corpus of papers p0.. and references r0.. from dense arrays.
+    """A Corpus of papers p0.. and references r0.. from dense arrays, one
+    journal per paper.
 
     ``weights`` rows are scaled to unit sum; an all-zero row becomes (1, 0, ...).
     """
@@ -261,8 +265,8 @@ def matrix_corpus(incidence, weights):
         scheme=build_scheme([(1102 + c, 1100) for c in range(k)]), journals=(),
         paper_ids=tuple(f"p{i}" for i in range(n)),
         ref_ids=tuple(f"r{j}" for j in range(incidence.shape[1])),
-        paper_journal=np.zeros(n, dtype=np.intp), incidence=sp.csr_matrix(incidence),
-        initial=sp.csr_matrix(weights / weights.sum(axis=1, keepdims=True)),
+        paper_journal=np.arange(n), incidence=sp.csr_matrix(incidence),
+        journal_weights=sp.csr_matrix(weights / weights.sum(axis=1, keepdims=True)),
         ref_counts=incidence.sum(axis=1).astype(np.intp))
 
 
@@ -289,7 +293,8 @@ def engine_corpora(draw):
     corpus = matrix_corpus(np.array(cells, dtype=float).reshape(n, m),
                            np.array(weights).reshape(n, k))
     if draw(st.booleans()):
-        corpus = dataclasses.replace(corpus, initial=reversed_rows(corpus.initial))
+        corpus = dataclasses.replace(
+            corpus, journal_weights=reversed_rows(corpus.journal_weights))
     uncounted = draw(st.lists(st.sampled_from([False, False, False, True]),
                               min_size=n, max_size=n))
     return dataclasses.replace(corpus, ref_counts=np.where(uncounted, 0, corpus.ref_counts))
@@ -304,7 +309,7 @@ ENGINE_CONFIGS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(corpus=engine_corpora(), config=ENGINE_CONFIGS,
-       budget=st.sampled_from([1, 2, engine._BLOCK_ENTRIES]))
+       budget=st.sampled_from([1, 2, 7, engine._BLOCK_ENTRIES]))
 def test_run_equals_sparse_step_composition_bit_for_bit(corpus, config, budget):
     with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
         if not (corpus.ref_counts >= config.min_refs).any():
@@ -384,11 +389,11 @@ def test_shrink_then_stall_matches_the_sparse_composition():
                           per_paper_threshold=None, max_iterations=3, min_refs=0)
     steps, real = [], _Support.propagate
 
-    def propagate(support, blocks, refs):
+    def propagate(support, blocks, refs, flat):
         nnz = len(support.values)
-        new, zero = real(support, blocks, refs)
-        steps.append((nnz, np.count_nonzero(new), int(zero.sum())))
-        return new, zero
+        zero = real(support, blocks, refs, flat)
+        steps.append((nnz, np.count_nonzero(flat[support.pos]), int(zero.sum())))
+        return zero
 
     with mock.patch.object(_Support, "propagate", propagate):
         jl, u1 = run(corpus, config)
@@ -570,13 +575,13 @@ class TestRun:
         w0 = sp.csr_matrix([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
         inside = sp.csr_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         outside = sp.csr_matrix([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
-        engine._check_support(inside, w0, np.arange(2))
+        engine._check_support(inside, w0, np.arange(2), np.arange(2))
         with pytest.raises(EngineError, match="support invariant"):
-            engine._check_support(outside, w0, np.arange(2))
+            engine._check_support(outside, w0, np.arange(2), np.arange(2))
 
     def test_run_rejects_jl_rows_outside_the_journal_support(self):
         # run() holds no copy of the journal rows through the loop: the check
-        # after it slices them again from corpus.initial
+        # after it reads each range's rows from corpus.journal_weights
         corpus = two_cat_corpus({
             "p1": ("JA", ["a", "b", "c"]),
             "p2": ("JB", ["a", "b", "d"]),

@@ -1,5 +1,6 @@
 """Memory gates: traced allocations of the prune, of run(), of the CLI's
-engine and prune path and of the writer, measured with tracemalloc.
+engine and prune path, of the writer and of what a loaded corpus holds,
+measured with tracemalloc.
 
 numpy reports its buffers to tracemalloc, so these peaks count every array a
 stage holds at once; they involve no clock and give the same verdict on
@@ -84,12 +85,13 @@ def test_prune_of_short_rows_scans_no_entry_twice(threshold):
 def test_run_peak_on_dense_rows_is_bounded_in_dense_matrices(tmp_path):
     # a corpus like the dense-converge workload (285 categories, dense U1
     # rows): the citing weights and blocks are dropped before the U1 pass
-    # allocates its rows, the blocks are the only copy of the slots, and the
-    # JL support costs 24 bytes an entry with no second copy of the journal
-    # rows.  The traced peak is 3.1 papers x categories x 8 bytes (3.9 with a
-    # 44-byte support and the journal rows held through the loop; 4.9 when the
-    # citing weights, the blocks and the whole transpose stayed alive through
-    # the U1 pass)
+    # allocates its rows, the citing blocks are the only copy of the
+    # transposed slots and the paper blocks are views of the incidence, and
+    # the JL support costs 12 bytes an entry, built from the journal rows one
+    # range at a time.  The traced peak is 3.12 papers x categories x 8 bytes
+    # (3.14 with a 24-byte support, 3.9 with a 44-byte support and the
+    # journal rows held through the loop; 4.9 when the citing weights, the
+    # blocks and the whole transpose stayed alive through the U1 pass)
     paths = generate(SynthParams(
         n_papers=2000, n_categories=285, n_areas=26, seed=11, journal_noise=0.3,
         ref_noise=0.3, misc_fraction=0.1, multidisciplinary_fraction=0.2)).write(tmp_path)
@@ -99,17 +101,19 @@ def test_run_peak_on_dense_rows_is_bounded_in_dense_matrices(tmp_path):
                           per_paper_threshold=None, max_iterations=5)
     (jl, u1), peak, _ = traced(run, corpus, config)
     assert u1.weights.nnz > 0.9 * len(corpus) * 285
-    assert peak <= 3.4 * len(corpus) * 285 * 8
+    assert peak <= 3.15 * len(corpus) * 285 * 8
 
 
 def test_cli_weighting_without_a_raw_u1_variant_holds_no_u1_matrix(tmp_path):
     # the CLI's engine and prune path for one weighting, as on the
     # dense-converge workload (285 categories, nearly full U1 rows, JL and U1
     # pruned): the U1 rows are pruned one row block at a time as the U1 pass
-    # makes them, so the JL loop sets the traced peak at 2.84 papers x
-    # categories x 8 bytes (3.03 with the support's scatter in ranges of 2^16
-    # entries; 3.11 when the U1 rows were assembled whole, 12 bytes per entry,
-    # and then pruned)
+    # makes them, and the traced peak is 2.57 papers x
+    # categories x 8 bytes (2.67 with the support built in ranges of 2^16
+    # entries, 2.84 with a 24-byte support and a copy of the eligible
+    # incidence rows; 3.03 with the support's scatter in ranges of
+    # 2^16 entries; 3.11 when the U1 rows were assembled whole, 12 bytes per
+    # entry, and then pruned)
     paths = generate(SynthParams(
         n_papers=2000, n_categories=285, n_areas=26, seed=11, journal_noise=0.3,
         ref_noise=0.3, misc_fraction=0.1, multidisciplinary_fraction=0.2)).write(tmp_path)
@@ -125,18 +129,35 @@ def test_cli_weighting_without_a_raw_u1_variant_holds_no_u1_matrix(tmp_path):
 
     made, peak, _ = traced(weighting)
     assert made["U1-F-0.5"].weights.nnz >= len(corpus)
-    assert peak <= 3.0 * len(corpus) * 285 * 8
+    assert peak <= 2.6 * len(corpus) * 285 * 8
 
 
-def test_jl_support_costs_at_most_28_bytes_per_entry():
-    # the support keeps an int32 column, an int32 product position, a value
-    # and a spare value per entry (24 bytes; 44 with an intp flat position, an
-    # intp product position and a citing scale per entry), and each of its
-    # passes goes one row block or range at a time.  Built from a slice of the
-    # journal rows and stepped three times, with entries leaving, its traced
-    # peak is 24.2 bytes per entry (56.3 with the 44-byte entries and a sorted
-    # copy of the slice); the blocks are cut small, so that their
-    # temporaries stay small beside it
+def test_corpus_holds_the_journal_vectors_once_per_journal(tmp_path):
+    # load_corpus keeps each journal's vector once, and each paper's journal
+    # index: what it leaves held for the dense-converge corpus (2000 x 285,
+    # 117,243 journal entries across its papers) is 0.41 of the papers x
+    # categories journal matrix that its Corpus held before, ids and
+    # incidence included
+    paths = generate(SynthParams(
+        n_papers=2000, n_categories=285, n_areas=26, seed=11, journal_noise=0.3,
+        ref_noise=0.3, misc_fraction=0.1, multidisciplinary_fraction=0.2)).write(tmp_path)
+    scheme = load_scheme(paths["scheme"])
+    corpus, _, held = traced(load_corpus, paths["papers"], paths["journals"],
+                             paths["references"], scheme)
+    initial = corpus.initial
+    assert initial.shape == (len(corpus), 285)
+    assert held < initial.data.nbytes + initial.indices.nbytes + initial.indptr.nbytes
+
+
+def test_jl_support_costs_at_most_16_bytes_per_entry():
+    # the support keeps a value and an int32 position in the citing buffer
+    # per entry (12 bytes; 24 with an int32 column, an int32 product position
+    # and a spare value, 44 with an intp flat position, an intp product
+    # position and a citing scale per entry), and each of its passes goes one
+    # row block or range at a time.  Built from the journal rows and stepped
+    # three times, with entries leaving, its traced peak is 12.4 bytes per
+    # entry (24.2 with the 24-byte entries); the blocks are cut small, so
+    # that their temporaries stay small beside it
     rng = np.random.default_rng(0)
     n, k, n_refs = 3000, 285, 400
     w0 = sp.random(n, k, density=0.5, format="csr", random_state=rng)
@@ -147,18 +168,18 @@ def test_jl_support_costs_at_most_28_bytes_per_entry():
     rows, scale, flat = np.arange(n), np.ones(n), np.zeros(n * k)
 
     def steps():
-        support = _Support(w0[rows], rows, scale, blocks)
+        support = _Support(w0, rows, rows, scale)
         for _ in range(3):
-            new, _ = support.propagate(blocks, refs)
-            support.residual(new)
-            support.advance(new, flat)
+            support.propagate(blocks, refs, flat)
+            support.residual()
+            support.advance(flat)
         return support
 
     with mock.patch.object(engine, "_BLOCK_ENTRIES", 1 << 12):
         blocks = _row_blocks(incidence, k)
         support, peak, _ = traced(steps)
     assert 0 < len(support.values) < 0.9 * w0.nnz
-    assert peak <= 28 * w0.nnz
+    assert peak <= 16 * w0.nnz
 
 
 def test_write_of_dense_rows_is_bounded_by_entries(tmp_path):

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from refclass.corpus import load_corpus
 from refclass.scheme import load_scheme
-from refclass.synth import RNG_ALGORITHM, SynthParams, generate
+from refclass.synth import POISSON_MEAN_MAX, RNG_ALGORITHM, SynthParams, generate
 
 
 def read_all(out_dir):
@@ -67,7 +68,8 @@ class TestGenerate:
         ("journal_noise", -0.5), ("misc_fraction", 1.5),
         ("multidisciplinary_fraction", -0.1), ("ref_noise", 2.0),
         ("ref_noise", float("nan")), ("short_ref_fraction", -1.0),
-        ("short_ref_fraction", 1.01)])
+        ("short_ref_fraction", 1.01), ("refs_per_paper_mean", float("inf")),
+        ("refs_per_paper_mean", 1e19)])
     def test_bad_value_is_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             SynthParams(n_papers=10, n_categories=8, seed=1, **{field: value})
@@ -78,3 +80,16 @@ class TestGenerate:
         ("journal_noise", 0.0)])
     def test_bounds_are_accepted(self, field, value):
         generate(SynthParams(n_papers=10, n_categories=8, seed=1, **{field: value}))
+
+    def test_refs_mean_bound_is_numpys_poisson_limit(self):
+        # the largest mean numpy's sampler takes is accepted, the next float
+        # is not, by numpy or by the check (nothing is generated at that mean)
+        SynthParams(n_papers=10, n_categories=8, seed=1,
+                    refs_per_paper_mean=POISSON_MEAN_MAX)
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_MEAN_MAX, size=1)
+        above = float(np.nextafter(POISSON_MEAN_MAX, np.inf))
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(above, size=1)
+        with pytest.raises(ValueError, match="^refs_per_paper_mean "):
+            SynthParams(n_papers=10, n_categories=8, seed=1, refs_per_paper_mean=above)
