@@ -142,18 +142,36 @@ def load_corpus(papers_path, journals_path, refs_path, scheme: CategoryScheme) -
 
 
 def _read_journals(path, scheme: CategoryScheme):
-    """The journal assignments in table order and their weights, journals x categories."""
+    """The journal assignments in table order and their weights, journals x categories.
+
+    A row's code must be one of the scheme's and its degree finite and not
+    negative; a journal whose degrees are all zero is named at its last row.
+    """
+    known = {cat.code for cat in scheme.categories} | {
+        *scheme.misc_codes.values(), scheme.multidisciplinary_code}
     raw: dict[str, list[tuple[int, float]]] = {}
+    last = {}  # journal id -> (chunk, row) of its last row
     for chunk in read_table(path, ("journal_id", "code"), ("degree",), CorpusError):
         cols = chunk.columns
-        for i, (jid, code, degree) in enumerate(
+        for i, (jid, code_text, degree_text) in enumerate(
                 zip(cols["journal_id"], cols["code"], cols["degree"])):
             try:
-                assignment = (int(code), float(degree or 1.0))
+                code, degree = int(code_text), float(degree_text or 1.0)
             except ValueError:
-                raise chunk.error(i, f"malformed journal row: code {code!r}, "
-                                     f"degree {degree!r}") from None
-            raw.setdefault(jid, []).append(assignment)
+                raise chunk.error(i, f"malformed journal row: code {code_text!r}, "
+                                     f"degree {degree_text!r}") from None
+            if code not in known:
+                raise chunk.error(i, f"journal {jid}: unknown code {code}")
+            if not math.isfinite(degree):
+                raise chunk.error(i, f"journal {jid}: non-finite degree")
+            if degree < 0:
+                raise chunk.error(i, f"journal {jid}: negative degree")
+            raw.setdefault(jid, []).append((code, degree))
+            last[jid] = chunk, i
+    for jid, assignments in raw.items():
+        if not any(d for _, d in assignments):
+            chunk, i = last[jid]
+            raise chunk.error(i, f"journal {jid}: all degrees zero")
     journals = tuple(JournalAssignment(jid, tuple(a)) for jid, a in raw.items())
     vectors = [fractionalize_journal(ja, scheme) for ja in journals]
     for ja, vec in zip(journals, vectors):

@@ -614,6 +614,34 @@ def sidecar_path(path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
+# sidecar key read back -> (what its value must be, the check)
+_SIDECAR_KEYS = {
+    "variant": ("a string", lambda v: type(v) is str),
+    "iterations_run": ("an integer", lambda v: type(v) is int),
+    "residual_trace": ("a list of numbers", lambda v: type(v) is list and all(
+        type(x) in (int, float) for x in v)),
+    "converged": ("true or false", lambda v: type(v) is bool),
+    "stalled": ("an integer", lambda v: type(v) is int),
+    "unreclassified": ("an integer", lambda v: type(v) is int),
+}
+
+
+def _read_sidecar(path: Path) -> dict:
+    """A classification sidecar's JSON object; CorpusError names the file, and the
+    key, when it is not valid JSON, not an object or a key read back has the
+    wrong type."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CorpusError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CorpusError(f"{path}: not a JSON object")
+    for key, (kind, check) in _SIDECAR_KEYS.items():
+        if key in meta and not check(meta[key]):
+            raise CorpusError(f"{path}: {key} {meta[key]!r} is not {kind}")
+    return meta
+
+
 def read_classification(path, scheme: CategoryScheme,
                         label: str | None = None) -> Classification:
     """Read a classification table written by write_classification.
@@ -663,8 +691,7 @@ def read_classification(path, scheme: CategoryScheme,
     matrix = sp.csr_matrix((np.array(weights)[order], indices, indptr),
                            shape=(len(ids), scheme.size))
     meta_file = sidecar_path(path)
-    meta = (json.loads(meta_file.read_text(encoding="utf-8"))
-            if meta_file.exists() else {})
+    meta = _read_sidecar(meta_file) if meta_file.exists() else {}
     return Classification(
         label or meta.get("variant", Path(path).stem), tuple(ids.tolist()), matrix,
         iterations_run=meta.get("iterations_run", 0),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import Classification, kept_indptr, row_fsums, weight_order
+from .engine import Classification, kept_indptr, row_fsums
 from .scheme import CategoryScheme
 
 FORMULA_VERSIONS = {
@@ -25,17 +25,24 @@ FORMULA_VERSIONS = {
 }
 
 
-def _column_sums(m: sp.csr_matrix, k: int) -> np.ndarray:
+def _column_sums(m: sp.csr_matrix) -> np.ndarray:
     """Per-category weight totals, each added up in row order."""
-    return np.bincount(m.indices, weights=m.data, minlength=k)
+    return np.bincount(m.indices, weights=m.data, minlength=m.shape[1])
+
+
+class NoCommonPapers(ValueError):
+    """Raised by a pairwise metric whose two classifications share no paper."""
 
 
 def _common_rows(a: Classification, b: Classification):
     """The rows of a and b that belong to their common papers, aligned.
 
-    Both matrices get the larger of the two column counts.
+    ValueError if the two differ in width, NoCommonPapers if they share no paper.
     """
     wa, wb = a.weights, b.weights
+    if wa.shape[1] != wb.shape[1]:
+        raise ValueError(f"{a.variant_label} has {wa.shape[1]} categories and "
+                         f"{b.variant_label} has {wb.shape[1]}")
     if a.paper_ids != b.paper_ids:
         _, ia, ib = np.intersect1d(np.array(a.paper_ids, dtype=str),
                                    np.array(b.paper_ids, dtype=str),
@@ -43,32 +50,25 @@ def _common_rows(a: Classification, b: Classification):
         wa = wa if len(ia) == wa.shape[0] else wa[ia]
         wb = wb if len(ib) == wb.shape[0] else wb[ib]
     if not wa.shape[0]:
-        raise ValueError("no common papers")
-    k = max(wa.shape[1], wb.shape[1])
-    return _with_columns(wa, k), _with_columns(wb, k)
+        raise NoCommonPapers("no common papers")
+    return wa, wb
 
 
-def _with_columns(m: sp.csr_matrix, k: int) -> sp.csr_matrix:
-    if m.shape[1] == k:
-        return m
-    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.shape[0], k))
+def _category_areas(scheme: CategoryScheme) -> np.ndarray:
+    """Area code of each category of the scheme."""
+    return np.array([c.area_code for c in scheme.categories], dtype=np.int64)
 
 
-def _category_areas(scheme: CategoryScheme, k: int) -> np.ndarray:
-    """Area code of each of the first k categories of the scheme."""
-    return np.array([scheme.area_of_index(idx) for idx in range(k)], dtype=np.int64)
-
-
-def _area_indicator(scheme: CategoryScheme, k: int) -> sp.csr_matrix:
+def _area_indicator(scheme: CategoryScheme) -> sp.csr_matrix:
     """Categories x areas 0/1 matrix (areas in ascending code order)."""
-    cols = np.searchsorted(scheme.area_codes, _category_areas(scheme, k))
-    return sp.csr_matrix((np.ones(k), cols, np.arange(k + 1)),
-                         shape=(k, len(scheme.area_codes)))
+    cols = np.searchsorted(scheme.area_codes, _category_areas(scheme))
+    return sp.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1)),
+                         shape=(len(cols), len(scheme.area_codes)))
 
 
 def category_sizes(c: Classification) -> dict[int, float]:
     """Accumulated weight per category; sums to the classified paper count."""
-    sizes = _column_sums(c.weights, c.weights.shape[1])
+    sizes = _column_sums(c.weights)
     return {int(idx): float(sizes[idx]) for idx in np.flatnonzero(sizes > 0)}
 
 
@@ -76,13 +76,13 @@ def granularity(c: Classification) -> float:
     """Paper count divided by the sum of squared category sizes."""
     if not c.paper_ids:
         raise ValueError("empty classification")
-    sizes = _column_sums(c.weights, c.weights.shape[1])
+    sizes = _column_sums(c.weights)
     return len(c.paper_ids) / math.fsum((sizes * sizes).tolist())
 
 
 def size_cv(c: Classification) -> float:
     """Coefficient of variation of the non-empty category sizes."""
-    sizes = _column_sums(c.weights, c.weights.shape[1])
+    sizes = _column_sums(c.weights)
     sizes = sizes[sizes > 0]
     if sizes.size == 0:
         raise ValueError("empty classification")
@@ -95,7 +95,8 @@ def refs_per_paper_acv(c: Classification, ref_counts: np.ndarray) -> float:
 
     ``ref_counts[i]`` is the reference count of ``c``'s row ``i``.  Papers
     contribute to a category with their assignment weight there.  Categories
-    with zero total weight or zero mean count are skipped.
+    with zero total weight or zero mean count are skipped; with none left the
+    average is undefined and returned as ``nan``.
     """
     m = c.weights
     n = np.repeat(ref_counts.astype(float), np.diff(m.indptr))
@@ -105,7 +106,7 @@ def refs_per_paper_acv(c: Classification, ref_counts: np.ndarray) -> float:
     mean = swn[used] / sw[used]
     used, mean = used[mean > 0], mean[mean > 0]
     if not len(used):
-        raise ValueError("no category with positive weighted mean reference count")
+        return math.nan
     var = np.maximum(swn2[used] / sw[used] - mean * mean, 0.0)
     return float(np.mean(np.sqrt(var) / mean))
 
@@ -129,33 +130,38 @@ class RankStats:
     papers: int
 
 
-def _ranks(m: sp.csr_matrix):
-    """(winner column of each row, 1-based rank of every stored entry).
-
-    Ranks follow descending weight, ties by ascending column; the rank
-    array is in stored-entry order.
-    """
-    order, _ = weight_order(m)
-    starts = m.indptr[:-1]
-    ranks = np.empty(m.nnz, dtype=np.int64)
-    ranks[order] = np.arange(m.nnz) - np.repeat(starts, np.diff(m.indptr)) + 1
-    return m.indices[order[starts]], ranks
-
-
 def rank_metrics(a: Classification, b: Classification) -> tuple[RankStats, RankStats]:
-    """(winners of a located in b, winners of b located in a)."""
+    """(winners of a located in b, winners of b located in a).
+
+    A row's winner is its heaviest entry, ties to the lowest column; its rank in
+    the other row is 1 plus the entries there heavier than it or as heavy at a
+    lower column, counted, not sorted.  Every row holds an entry.
+    """
     wa, wb = _common_rows(a, b)
     n = wa.shape[0]
 
-    def one_direction(winners, dst, ranks):
+    def winners(m, rows):
+        heaviest = np.maximum.reduceat(m.data, m.indptr[:-1])[rows]
+        return np.minimum.reduceat(np.where(m.data == heaviest, m.indices, m.shape[1]),
+                                   m.indptr[:-1])
+
+    def one_direction(winner, dst, rows):
+        column = winner[rows]
         # a row holds each column once, so at most one entry per row is a hit
-        hits = ranks[dst.indices == np.repeat(winners, np.diff(dst.indptr))]
+        hit = dst.indices == column
+        hit_rows = rows[hit]
+        weight = np.full(n, np.inf)
+        weight[hit_rows] = dst.data[hit]
+        weight = weight[rows]
+        ahead = (dst.data > weight) | ((dst.data == weight) & (dst.indices < column))
+        hits = 1 + np.bincount(rows[ahead], minlength=n)[hit_rows]
         avg = float(np.mean(hits)) if len(hits) else float("nan")
         return RankStats(avg, n - len(hits), n)
 
-    winners_a, ranks_a = _ranks(wa)
-    winners_b, ranks_b = _ranks(wb)
-    return one_direction(winners_a, wb, ranks_b), one_direction(winners_b, wa, ranks_a)
+    # the row of each stored entry
+    rows_a, rows_b = (np.repeat(np.arange(n), np.diff(m.indptr)) for m in (wa, wb))
+    return (one_direction(winners(wa, rows_a), wb, rows_b),
+            one_direction(winners(wb, rows_b), wa, rows_a))
 
 
 @dataclass(frozen=True)
@@ -178,15 +184,13 @@ def assignment_histogram(c: Classification) -> AssignmentHistogram:
     return AssignmentHistogram(total, total / n, pct)
 
 
-def category_correlation(a: Classification, b: Classification,
-                         scheme: CategoryScheme, common_only: bool = False) -> float:
-    """Pearson correlation of the per-category size vectors (zeros included).
+def category_correlation(a: Classification, b: Classification) -> float:
+    """Pearson correlation of the common papers' category sizes (zeros included).
 
     It is undefined, and returned as ``nan``, when either vector is constant.
     """
-    wa, wb = _common_rows(a, b) if common_only else (a.weights, b.weights)
-    xa = _column_sums(wa, scheme.size)
-    xb = _column_sums(wb, scheme.size)
+    wa, wb = _common_rows(a, b)
+    xa, xb = _column_sums(wa), _column_sums(wb)
     if xa.min() == xa.max() or xb.min() == xb.max():
         return math.nan
     return float(np.corrcoef(xa, xb)[0, 1])
@@ -194,11 +198,10 @@ def category_correlation(a: Classification, b: Classification,
 
 def area_aggregate(c: Classification, scheme: CategoryScheme) -> dict[int, float]:
     """Percentage of total weight accumulated in each area."""
-    k = c.weights.shape[1]
-    sizes = _column_sums(c.weights, k)
+    sizes = _column_sums(c.weights)
     total = math.fsum(sizes.tolist())
     codes = scheme.area_codes
-    mass = np.bincount(np.searchsorted(codes, _category_areas(scheme, k)), weights=sizes,
+    mass = np.bincount(np.searchsorted(codes, _category_areas(scheme)), weights=sizes,
                        minlength=len(codes))
     return {area: 100.0 * s / total for area, s in zip(codes, mass.tolist())}
 
@@ -212,7 +215,7 @@ def area_flow(origin: Classification, result: Classification,
     total equals the common paper count.
     """
     wo, wr = _common_rows(origin, result)
-    indicator = _area_indicator(scheme, wo.shape[1])
+    indicator = _area_indicator(scheme)
     # the sparse products add papers in ascending order for every cell
     flow = (wo @ indicator).T.tocsr() @ (wr @ indicator)
     return list(scheme.area_codes), flow.toarray()
@@ -229,7 +232,7 @@ def same_area_retention(home_area: np.ndarray, result: Classification,
     rows = np.flatnonzero(home_area >= 0)
     areas, home = np.unique(home_area[rows], return_inverse=True)
     m = result.weights[rows]
-    in_home = (_category_areas(scheme, m.shape[1])[m.indices]
+    in_home = (_category_areas(scheme)[m.indices]
                == areas[np.repeat(home, np.diff(m.indptr))])
     inside = row_fsums(sp.csr_matrix(
         (m.data[in_home], m.indices[in_home], kept_indptr(in_home, m.indptr)),

@@ -8,15 +8,7 @@ from pathlib import Path
 from . import metrics
 from .corpus import Corpus, misc_exclusive_papers
 from .engine import Classification
-from .scheme import CategoryScheme
-
-
-def _write_table(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+from .scheme import CategoryScheme, write_table
 
 
 def write_report(out_dir, classifications: dict[str, Classification],
@@ -27,7 +19,8 @@ def write_report(out_dir, classifications: dict[str, Classification],
     ``origin`` names the classification used as the flow source (ValueError
     if it is not one of them) and, when a corpus is given, the retention
     tables are computed for every classification against the corpus's
-    misc-exclusive papers.
+    misc-exclusive papers.  A pair without common papers gets no pairwise row
+    and no flow table; two classifications of different widths are a ValueError.
     """
     if origin is not None and origin not in classifications:
         raise ValueError(f"origin {origin!r} is not one of the classifications")
@@ -48,10 +41,10 @@ def write_report(out_dir, classifications: dict[str, Classification],
             hist.percentages["1"], hist.percentages["2"], hist.percentages["3"],
             hist.percentages["4"], hist.percentages["5+"],
         ))
-    _write_table(out / "structure.csv",
-                 ("classification", "categories", "max_size", "min_size", "cv",
-                  "granularity", "n_assignments", "avg_assignments",
-                  "pct_1", "pct_2", "pct_3", "pct_4", "pct_5plus"), rows)
+    write_table(out / "structure.csv",
+                ("classification", "categories", "max_size", "min_size", "cv",
+                 "granularity", "n_assignments", "avg_assignments",
+                 "pct_1", "pct_2", "pct_3", "pct_4", "pct_5plus"), rows)
     written.append("structure.csv")
 
     if corpus is not None:
@@ -60,7 +53,7 @@ def write_report(out_dir, classifications: dict[str, Classification],
             c = classifications[name]
             rows.append((name, metrics.refs_per_paper_acv(
                 c, corpus.ref_counts[corpus.rows_of(c.paper_ids)])))
-        _write_table(out / "acv.csv", ("classification", "acv_all"), rows)
+        write_table(out / "acv.csv", ("classification", "acv_all"), rows)
         written.append("acv.csv")
 
     rows = []
@@ -69,26 +62,26 @@ def write_report(out_dir, classifications: dict[str, Classification],
             a, b = classifications[a_name], classifications[b_name]
             try:
                 ab, ba = metrics.rank_metrics(a, b)
-            except ValueError:  # no common papers
+            except metrics.NoCommonPapers:
                 continue
             rows.append((
                 a_name, b_name,
                 metrics.coincidence_percentage(a, b),
-                metrics.category_correlation(a, b, scheme, common_only=True),
+                metrics.category_correlation(a, b),
                 ab.avg_rank, ab.missing, ba.avg_rank, ba.missing,
             ))
     if rows:
-        _write_table(out / "pairwise.csv",
-                     ("a", "b", "coincidence_pct", "size_correlation",
-                      "a_winner_rank_in_b", "a_winner_missing_in_b",
-                      "b_winner_rank_in_a", "b_winner_missing_in_a"), rows)
+        write_table(out / "pairwise.csv",
+                    ("a", "b", "coincidence_pct", "size_correlation",
+                     "a_winner_rank_in_b", "a_winner_missing_in_b",
+                     "b_winner_rank_in_a", "b_winner_missing_in_a"), rows)
         written.append("pairwise.csv")
 
     areas = list(scheme.area_codes)
     by_name = {name: metrics.area_aggregate(classifications[name], scheme)
                for name in names}
     rows = [[area] + [by_name[name][area] for name in names] for area in areas]
-    _write_table(out / "areas.csv", ["area_code"] + names, rows)
+    write_table(out / "areas.csv", ["area_code"] + names, rows)
     written.append("areas.csv")
 
     if origin is not None:
@@ -98,13 +91,12 @@ def write_report(out_dir, classifications: dict[str, Classification],
             try:
                 axes, flow = metrics.area_flow(
                     classifications[origin], classifications[name], scheme)
-            except ValueError:
+            except metrics.NoCommonPapers:
                 continue
             fname = f"flow_{origin}_to_{name}.csv"
             rows = [[axes[i]] + [float(flow[i, j]) for j in range(len(axes))]
                     for i in range(len(axes))]
-            _write_table(out / fname,
-                         ["origin_area"] + [str(a) for a in axes], rows)
+            write_table(out / fname, ["origin_area"] + [str(a) for a in axes], rows)
             written.append(fname)
 
     if corpus is not None:
@@ -117,8 +109,8 @@ def write_report(out_dir, classifications: dict[str, Classification],
                     home_area[corpus.rows_of(c.paper_ids)], c, scheme)
                 for area, pct in retention.items():
                     rows.append((name, area, pct))
-            _write_table(out / "retention.csv",
-                         ("classification", "area_code", "same_area_pct"), rows)
+            write_table(out / "retention.csv",
+                        ("classification", "area_code", "same_area_pct"), rows)
             written.append("retention.csv")
 
     meta = {"formulas": metrics.FORMULA_VERSIONS,

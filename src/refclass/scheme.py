@@ -317,6 +317,14 @@ def read_table(source, required, optional=(), error_cls=SchemeError):
             yield TableChunk(name, lines, columns, error_cls)
 
 
+def write_table(path, header, rows) -> None:
+    """Write ``header``, then ``rows``, as lines of comma-joined ``str`` values."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 # what str.strip removes from ASCII text, besides the line feed
 _ASCII_BLANKS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 

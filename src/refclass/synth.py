@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .scheme import write_table
+
 RNG_ALGORITHM = "numpy-default-rng-pcg64"
 
 MULTI_CODE = 1000
@@ -74,22 +76,14 @@ class SynthCorpus:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {}
-
-        def table(name, header, rows):
-            path = out / f"{name}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(str(v) for v in row) + "\n")
-            paths[name] = path
-            return path
-
-        table("scheme", ("code", "area_code", "kind"), self.scheme_rows)
-        table("journals", ("journal_id", "code", "degree"), self.journal_rows)
-        table("papers", ("paper_id", "journal_id"), self.paper_rows)
-        table("references", ("paper_id", "reference_id"), self.ref_rows)
-        table("labels", ("paper_id", "category_code"),
-              sorted(self.labels.items()))
+        for name, header, rows in (
+                ("scheme", ("code", "area_code", "kind"), self.scheme_rows),
+                ("journals", ("journal_id", "code", "degree"), self.journal_rows),
+                ("papers", ("paper_id", "journal_id"), self.paper_rows),
+                ("references", ("paper_id", "reference_id"), self.ref_rows),
+                ("labels", ("paper_id", "category_code"), sorted(self.labels.items()))):
+            paths[name] = out / f"{name}.csv"
+            write_table(paths[name], header, rows)
         meta = {"params": asdict(self.params), "rng": RNG_ALGORITHM}
         paths["metadata"] = out / "metadata.json"
         paths["metadata"].write_text(

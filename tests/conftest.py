@@ -32,17 +32,32 @@ MALFORMED_TABLES = {
     "short-row": ("p1,1102,0.5\np2,1102\n", 3, "column 'weight'"),
 }
 
+# classification sidecar text -> the words its error names after the sidecar's path
+MALFORMED_SIDECARS = {
+    "not-json": ("{bad", "not valid JSON"),
+    "not-an-object": ("[1]", "not a JSON object"),
+    "wrong-types": ('{"iterations_run": "x", "residual_trace": 5}',
+                    "iterations_run 'x' is not an integer"),
+    "trace-not-a-list": ('{"residual_trace": 5}', "residual_trace 5 is not a list of numbers"),
+    "trace-of-strings": ('{"residual_trace": ["1"]}', "residual_trace ['1'] is not a list"),
+    "converged-not-a-bool": ('{"converged": 1}', "converged 1 is not true or false"),
+    "count-is-a-bool": ('{"stalled": true}', "stalled True is not an integer"),
+    "variant-not-a-string": ('{"variant": null}', "variant None is not a string"),
+}
+
 
 def vec_sum(vec: dict[int, float]) -> float:
     return math.fsum(vec.values())
 
 
-def from_vectors(label: str, vectors: dict[str, dict[int, float]],
-                 **meta) -> Classification:
-    """A classification built from paper id -> {category index: weight} maps.
+# the bundled reference scheme's category count
+WIDE = 285
 
-    The matrix is as wide as the largest index used requires.
-    """
+
+def from_vectors(label: str, vectors: dict[str, dict[int, float]], k: int,
+                 **meta) -> Classification:
+    """A classification of ``k`` categories built from paper id -> {category
+    index: weight} maps."""
     pids = sorted(vectors)
     indptr, indices, data = [0], [], []
     for pid in pids:
@@ -53,13 +68,13 @@ def from_vectors(label: str, vectors: dict[str, dict[int, float]],
         indptr.append(len(indices))
     weights = sp.csr_matrix(
         (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
-        shape=(len(pids), max(indices, default=-1) + 1))
+        shape=(len(pids), k))
     return Classification(label, tuple(pids), weights, **meta)
 
 
 def prune_vector(vector: dict[int, float], config) -> dict[int, float]:
     """``prune_classification`` of a one-paper classification, as its vector."""
-    c = from_vectors("", {"": vector})
+    c = from_vectors("", {"": vector}, WIDE)
     return prune_classification(c, config).vectors[""]
 
 

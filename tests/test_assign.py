@@ -9,7 +9,7 @@ from refclass import assign, engine
 from refclass.assign import (DEFAULT_THRESHOLDS, PruneConfig, prune_blocks,
                              prune_classification)
 
-from conftest import from_vectors, prune_vector, vec_sum
+from conftest import WIDE, from_vectors, prune_vector, vec_sum
 from test_reference_equality import (TIES_PAST_THE_CAP, WIDE_TIES, paper_sets,
                                      vectors as ranked_vectors, wide_vectors)
 
@@ -80,24 +80,25 @@ class TestProperties:
 
 class TestPruneClassification:
     def test_singletons_unchanged(self):
-        c = from_vectors("JL-NF", {"p1": {0: 1.0}, "p2": {3: 1.0}})
+        c = from_vectors("JL-NF", {"p1": {0: 1.0}, "p2": {3: 1.0}}, WIDE)
         out = prune_classification(c, PruneConfig(0.8))
         assert out.vectors == c.vectors
         assert out.variant_label == "JL-NF-0.8"
 
     def test_label_extension(self):
-        c = from_vectors("U1-F", {"p": {0: 1.0}})
+        c = from_vectors("U1-F", {"p": {0: 1.0}}, WIDE)
         assert prune_classification(c, PruneConfig(0.67)).variant_label == "U1-F-0.67"
 
     @pytest.mark.parametrize("vector", [{0: math.nan, 1: 0.5, 2: 0.4}, {0: -1.0, 1: 0.5},
                                         {0: math.inf, 1: 1.0}])
     def test_weight_not_positive_and_finite_is_rejected(self, vector):
-        c = from_vectors("U1-F", {"p1": {0: 1.0}, "p2": vector})
+        c = from_vectors("U1-F", {"p1": {0: 1.0}, "p2": vector}, WIDE)
         with pytest.raises(ValueError, match="paper p2: weight .* is not positive and finite"):
             prune_classification(c, PruneConfig(0.5))
 
     def test_weight_check_names_the_paper_of_a_later_block(self):
-        c = from_vectors("U1-F", {"p1": {0: 1.0}, "p2": {0: 0.5}, "p3": {1: -1.0}})
+        c = from_vectors("U1-F", {"p1": {0: 1.0}, "p2": {0: 0.5}, "p3": {1: -1.0}},
+                         WIDE)
         blocks = [c.weights[:2], c.weights[2:]]
         with pytest.raises(ValueError, match="paper p3: weight .* is not positive"):
             prune_blocks(blocks, c.paper_ids, [PruneConfig(0.5)])
@@ -114,7 +115,7 @@ def test_one_ranking_for_every_threshold_equals_one_prune_each(vecs, thresholds,
     # consecutive row blocks: each block is ranked once for all thresholds,
     # and every threshold's rows are those of a prune at that threshold alone,
     # bit for bit
-    c = from_vectors("U1-F", vecs)
+    c = from_vectors("U1-F", vecs, WIDE)
     bounds = [0, *sorted(cut for cut in cuts if cut < len(vecs)), len(vecs)]
     configs = [PruneConfig(t) for t in thresholds]
     out = prune_blocks((c.weights[lo:hi] for lo, hi in zip(bounds, bounds[1:])),
@@ -137,7 +138,8 @@ def test_weight_order_limit_is_a_prefix_of_the_full_ranking(rows, budget):
     # column), and a cut row keeps exactly its first ``limit`` places, ties
     # at the cut going to the lowest columns
     m = from_vectors(
-        "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)}).weights
+        "U1-F", {f"p{i:02d}": dict(enumerate(row)) for i, row in enumerate(rows)},
+        9).weights
     with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
         full, indptr = engine.weight_order(m)
         assert np.array_equal(indptr, m.indptr)

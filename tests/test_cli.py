@@ -14,7 +14,7 @@ from refclass.engine import read_classification
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
-from conftest import MALFORMED_TABLES
+from conftest import MALFORMED_SIDECARS, MALFORMED_TABLES
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,22 @@ def corpus_dir(tmp_path_factory):
     generate(SynthParams(n_papers=60, n_categories=6, seed=7,
                          journal_noise=0.1, misc_fraction=0.1,
                          multidisciplinary_fraction=0.05)).write(out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def short_refs_dir(tmp_path_factory):
+    """A corpus where 30% of the papers have fewer than three references, and
+    ``zero.csv``, a classification of three papers that have none."""
+    out = tmp_path_factory.mktemp("short-refs")
+    corpus = generate(SynthParams(n_papers=60, n_categories=6, seed=7,
+                                  short_ref_fraction=0.3))
+    corpus.write(out)
+    citing = {pid for pid, _ in corpus.ref_rows}
+    uncited = [pid for pid, _ in corpus.paper_rows if pid not in citing][:3]
+    assert len(uncited) == 3
+    (out / "zero.csv").write_text("paper_id,category_code,weight\n" + "".join(
+        f"{pid},{corpus.labels[pid]},1.0\n" for pid in uncited))
     return out
 
 
@@ -338,6 +354,26 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {table}: no classification rows\n"
         assert not out.exists()
 
+    def test_compare_table_of_papers_without_references_gets_nan_acv(
+            self, short_refs_dir, tmp_path):
+        # no category has a positive mean reference count, so the table's ACV is
+        # undefined; the report is written whole.  The table's papers are all
+        # ineligible, so it has no pair and no flow file.
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(short_refs_dir), "--out", str(out),
+                     "--variants", "JL-F-0.8",
+                     "--compare", f"z={short_refs_dir / 'zero.csv'}"]) == 0
+        with open(out / "report" / "acv.csv", newline="") as fh:
+            acv = {row["classification"]: row["acv_all"] for row in csv.DictReader(fh)}
+        assert acv["z"] == "nan"
+        assert acv["JL-F-0.8"] != "nan"
+        meta = json.loads((out / "report" / "metadata.json").read_text())
+        assert meta["tables"] == ["structure.csv", "acv.csv", "pairwise.csv", "areas.csv",
+                                  "flow_initial_to_JL-F-0.8.csv"]
+        with open(out / "report" / "pairwise.csv", newline="") as fh:
+            assert [(row["a"], row["b"]) for row in csv.DictReader(fh)] == [
+                ("JL-F-0.8", "initial")]
+
     def test_constant_category_sizes_give_nan_correlation(self, tmp_path):
         # two categories, one paper each: every classification has sizes [1, 1]
         data = tmp_path / "data"
@@ -538,6 +574,25 @@ class TestMetricsCommand:
         assert (report / "flow_jl_to_u1.csv").exists()
         meta = json.loads((report / "metadata.json").read_text())
         assert meta["formulas"]["coincidence"] == "min-overlap-v1"
+
+    def test_papers_without_references_get_nan_acv(self, short_refs_dir, tmp_path):
+        report = tmp_path / "report"
+        assert main(["metrics", "--scheme", str(short_refs_dir / "scheme.csv"),
+                     "--classification", f"z={short_refs_dir / 'zero.csv'}",
+                     "--corpus-dir", str(short_refs_dir), "--out", str(report)]) == 0
+        assert (report / "acv.csv").read_text() == "classification,acv_all\nz,nan\n"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIDECARS))
+    def test_malformed_sidecar_is_an_error(self, corpus_dir, tmp_path, capsys,
+                                           one_paper_table, case):
+        text, words = MALFORMED_SIDECARS[case]
+        sidecar = engine.sidecar_path(one_paper_table)
+        sidecar.write_text(text)
+        assert main(["metrics", "--scheme", str(corpus_dir / "scheme.csv"),
+                     "--classification", f"x={one_paper_table}",
+                     "--out", str(tmp_path / "report")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {sidecar}: {words}")
+        assert not (tmp_path / "report").exists()
 
     def test_unknown_origin_is_an_error(self, corpus_dir, tmp_path, capsys):
         run_out = tmp_path / "run"

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from refclass import scheme as scheme_module
 from refclass.corpus import CorpusError, eligible_rows, load_corpus, misc_exclusive_papers
-from refclass.scheme import (JournalAssignment, SchemeError, fractionalize_journal,
-                             load_scheme)
+from refclass.scheme import JournalAssignment, fractionalize_journal, load_scheme
 
 from conftest import build_corpus, build_scheme, vec_sum
 
@@ -91,7 +90,8 @@ class TestLoadCorpus:
     def test_nan_degree_rejected(self):
         scheme = load_scheme(io.StringIO(SCHEME_TEXT))
         journals = JOURNALS_TEXT + "J3,1102,nan\nJ3,1103,1\n"
-        with pytest.raises(SchemeError, match="journal J3: non-finite degree"):
+        with pytest.raises(CorpusError,
+                           match="<table>, line 6: journal J3: non-finite degree"):
             load_corpus(io.StringIO(PAPERS_TEXT), io.StringIO(journals),
                         io.StringIO(REFS_TEXT), scheme)
 
@@ -124,6 +124,17 @@ MALFORMED_CORPUS_TABLES = {
         "journals", JOURNALS_TEXT + "J3,11o2,1\n", 6, "malformed journal row: code '11o2'"),
     "journal-degree-not-a-number": (
         "journals", JOURNALS_TEXT + "J3,1102,heavy\n", 6, "degree 'heavy'"),
+    "journal-unknown-code": (
+        "journals", JOURNALS_TEXT + "J1102,9999,1.0\n", 6, "journal J1102: unknown code 9999"),
+    "journal-negative-degree": (
+        "journals", JOURNALS_TEXT + "JX,1102,-1\n", 6, "journal JX: negative degree"),
+    "journal-nan-degree": (
+        "journals", JOURNALS_TEXT + "J3,1102,nan\nJ3,1103,1\n", 6,
+        "journal J3: non-finite degree"),
+    # named at the journal's last row, before the table's end
+    "journal-degrees-all-zero": (
+        "journals", JOURNALS_TEXT + "J3,1102,0\nJ3,1103,0\nJ4,1102,1\n", 7,
+        "journal J3: all degrees zero"),
     "duplicate-paper": (
         "papers", PAPERS_TEXT + "p2,J1\n", 5, "duplicate paper_id p2"),
     "unknown-journal": (

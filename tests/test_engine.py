@@ -21,8 +21,8 @@ from refclass.oracle import dense_run, max_component_difference
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
-from conftest import (MALFORMED_TABLES, build_corpus, build_scheme, from_vectors,
-                      vec_sum)
+from conftest import (MALFORMED_SIDECARS, MALFORMED_TABLES, build_corpus, build_scheme,
+                      from_vectors, vec_sum)
 
 
 def approx_vec(vec, expected, tol=1e-12):
@@ -636,7 +636,7 @@ class TestClassificationIO:
     def test_round_trip(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
         c = from_vectors(
-            "JL-NF", {"p1": {0: 0.75, 1: 0.25}, "p2": {1: 1.0}},
+            "JL-NF", {"p1": {0: 0.75, 1: 0.25}, "p2": {1: 1.0}}, scheme.size,
             unreclassified=1, iterations_run=4,
             residual_trace=[1.0, 0.1], converged=True, stalled=0)
         path = tmp_path / "JL-NF.csv"
@@ -666,7 +666,7 @@ class TestClassificationIO:
 
     def test_sorted_by_descending_weight(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = from_vectors("U1-F", {"p1": {0: 0.25, 1: 0.75}})
+        c = from_vectors("U1-F", {"p1": {0: 0.25, 1: 0.75}}, scheme.size)
         path = tmp_path / "U1-F.csv"
         write_classification(c, scheme, path)
         lines = path.read_text().splitlines()
@@ -676,7 +676,7 @@ class TestClassificationIO:
 
     def test_writes_are_byte_stable(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
-        c = from_vectors("JL-F", {"p1": {0: 1 / 3, 1: 2 / 3}})
+        c = from_vectors("JL-F", {"p1": {0: 1 / 3, 1: 2 / 3}}, scheme.size)
         write_classification(c, scheme, tmp_path / "a.csv")
         write_classification(c, scheme, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -692,6 +692,17 @@ def test_read_classification_rejects_malformed_row(tmp_path, case):
         read_classification(path, scheme)
     assert f"{path}, line {line}: " in str(err.value)
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SIDECARS))
+def test_read_classification_rejects_malformed_sidecar(tmp_path, case):
+    text, words = MALFORMED_SIDECARS[case]
+    path = tmp_path / "x.csv"
+    path.write_text("paper_id,category_code,weight\np1,1102,1.0\n")
+    engine.sidecar_path(path).write_text(text)
+    with pytest.raises(CorpusError) as err:
+        read_classification(path, build_scheme([(1102, 1100), (1103, 1100)]))
+    assert str(err.value).startswith(f"{engine.sidecar_path(path)}: {words}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ SCHEME = build_scheme(
 
 
 def classification(vectors, label="X"):
-    return from_vectors(label, vectors)
+    return from_vectors(label, vectors, SCHEME.size)
 
 
 class TestSizes:
@@ -81,6 +81,12 @@ class TestRefsAcv:
         c = classification({p: {0: 1.0} for p in corpus.paper_ids})
         assert refs_per_paper_acv(
             c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) == pytest.approx(1 / 3)
+
+    def test_no_category_with_positive_mean_count_is_nan(self):
+        corpus = self.make_corpus([0, 0])
+        c = classification({p: {0: 1.0} for p in corpus.paper_ids})
+        assert math.isnan(refs_per_paper_acv(
+            c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]))
 
     def test_fractional_membership_matches_brute_force(self):
         corpus = self.make_corpus([2, 5, 9])
@@ -167,12 +173,12 @@ class TestHistogram:
 class TestCorrelation:
     def test_self_correlation(self):
         c = classification({"p": {0: 0.5, 1: 0.5}, "q": {2: 1.0}})
-        assert category_correlation(c, c, SCHEME) == pytest.approx(1.0)
+        assert category_correlation(c, c) == pytest.approx(1.0)
 
     def test_scaled_sizes_fully_correlated(self):
         a = classification({"p": {0: 0.5, 1: 0.5}})
         b = classification({"p": {0: 0.5, 1: 0.5}, "q": {0: 0.5, 1: 0.5}})
-        assert category_correlation(a, b, SCHEME) == pytest.approx(1.0)
+        assert category_correlation(a, b) == pytest.approx(1.0)
 
     def test_matches_numpy_pearson(self):
         a = classification({"p": {0: 0.9, 3: 0.1}, "q": {1: 1.0}})
@@ -184,7 +190,7 @@ class TestCorrelation:
         for idx, s in category_sizes(b).items():
             xb[idx] = s
         expected = float(np.corrcoef(xa, xb)[0, 1])
-        assert category_correlation(a, b, SCHEME) == pytest.approx(expected)
+        assert category_correlation(a, b) == pytest.approx(expected)
 
 
 class TestAreas:
@@ -244,6 +250,24 @@ class TestRetention:
         assert out == {1100: 75.0, 1200: 100.0}
 
 
+class TestWidths:
+    PAIRWISE = (coincidence_percentage, rank_metrics, category_correlation,
+                lambda a, b: area_flow(a, b, SCHEME))
+
+    @pytest.mark.parametrize("metric", range(len(PAIRWISE)))
+    def test_different_widths_are_an_error_that_names_both(self, metric):
+        a = classification({"p": {0: 1.0}}, "a")
+        b = from_vectors("b", {"p": {0: 1.0}}, SCHEME.size - 1)
+        with pytest.raises(ValueError, match="a has 5 categories and b has 4"):
+            self.PAIRWISE[metric](a, b)
+
+    def test_different_widths_are_an_error_of_the_report(self, tmp_path):
+        cs = {"a": classification({"p": {0: 1.0}}, "a"),
+              "b": from_vectors("b", {"q": {0: 1.0}}, SCHEME.size - 1)}
+        with pytest.raises(ValueError, match="a has 5 categories and b has 4"):
+            write_report(tmp_path, cs, SCHEME, origin="a")
+
+
 def test_formula_versions_declared():
     assert set(metrics.FORMULA_VERSIONS) == {"coincidence", "prune", "area_flow"}
 
@@ -253,6 +277,20 @@ class TestWriteReport:
         cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"p": {3: 1.0}})}
         written = write_report(tmp_path, cs, SCHEME, origin="a")
         assert "flow_a_to_b.csv" in written
+
+    def test_pair_without_common_papers_gets_no_row_and_no_flow(self, tmp_path):
+        cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"q": {3: 1.0}}),
+              "c": classification({"p": {3: 1.0}, "q": {0: 1.0}})}
+        written = write_report(tmp_path, cs, SCHEME, origin="a")
+        assert written == ["structure.csv", "pairwise.csv", "areas.csv", "flow_a_to_c.csv"]
+        rows = (tmp_path / "pairwise.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["a", "c"], ["b", "c"]]
+
+    def test_no_pair_with_common_papers_writes_no_pairwise_table(self, tmp_path):
+        cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"q": {3: 1.0}})}
+        assert write_report(tmp_path, cs, SCHEME, origin="a") == ["structure.csv",
+                                                                   "areas.csv"]
+        assert not (tmp_path / "pairwise.csv").exists()
 
     def test_unknown_origin_is_an_error(self, tmp_path):
         cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"p": {3: 1.0}})}

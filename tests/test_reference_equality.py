@@ -18,7 +18,7 @@ from refclass.assign import (DEFAULT_THRESHOLDS, MAX_CATEGORIES, PruneConfig,
                              prune_classification)
 from refclass.metrics import area_flow, coincidence_percentage, rank_metrics
 
-from conftest import build_scheme, from_vectors
+from conftest import WIDE, build_scheme, from_vectors
 
 REL_TOL = 1e-12
 _RATIO_EPS = 1e-12
@@ -119,9 +119,6 @@ def vectors(draw):
     return dict(zip(cats, weights))
 
 
-WIDE = 285  # the bundled scheme's category count
-
-
 @st.composite
 def wide_vectors(draw):
     """A raw weight vector over up to WIDE categories whose fifth place is tied.
@@ -155,8 +152,8 @@ def paper_sets(vector_strategy=vectors()):
                            vector_strategy, min_size=1, max_size=12)
 
 
-def matrix(vecs):
-    return from_vectors("X", vecs)
+def matrix(vecs, k=K):
+    return from_vectors("X", vecs, k)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +164,20 @@ def matrix(vecs):
 @example(WIDE_TIES, 0.5)
 def test_prune_equals_reference(vecs, t):
     config = PruneConfig(t)
-    out = prune_classification(matrix(vecs), config)
+    out = prune_classification(matrix(vecs, WIDE), config)
     assert out.vectors == {p: reference_prune(v, config) for p, v in vecs.items()}
 
 
+# winners tied with a higher column, and ranks behind equal weights at lower
+# columns (p1: third), past equal weights at higher ones (p2: first) and absent (p0)
+RANK_TIES = ({"p0": {0: 0.5, 3: 0.5, 5: 0.25}, "p1": {2: 0.25, 6: 0.25, 7: 0.5},
+              "p2": {4: 1.0}},
+             {"p0": {1: 0.5, 3: 0.5, 5: 0.125}, "p1": {7: 0.25, 6: 0.25, 2: 0.25},
+              "p2": {4: 0.25, 5: 0.25, 1: 0.125}})
+
+
 @given(paper_sets(), paper_sets())
+@example(*RANK_TIES)
 def test_rank_metrics_equal_reference(va, vb):
     if not set(va) & set(vb):
         return
