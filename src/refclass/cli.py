@@ -21,8 +21,8 @@ from . import __version__
 from .assign import DEFAULT_THRESHOLDS, PruneConfig, prune_blocks, pruned
 from .corpus import DEFAULT_MIN_REFS, CorpusError, eligible_rows, load_corpus
 from .engine import (ABSOLUTE_THRESHOLD, DEFAULT_PER_PAPER_THRESHOLD, Classification,
-                     EngineConfig, collect_rows, propagate, read_classification, run,
-                     unlimited, write_classification)
+                     EngineConfig, collect_rows, on_index, propagate, read_classification,
+                     run, unlimited, write_classification)
 from .oracle import OracleSizeError, dense_run, max_component_difference
 from .report import write_report
 from .scheme import load_scheme
@@ -109,16 +109,16 @@ def _named_paths(items, flag: str, taken=frozenset()) -> dict[str, str]:
 def _read_classifications(paths: dict[str, str], scheme, corpus=None):
     """{NAME: PATH} -> {NAME: classification}.
 
-    A table must hold a row.  With a corpus, every paper it names must be in it.
+    A table must hold a row.  With a corpus, it is placed on the corpus's index.
     """
     out = {}
     for name, path in paths.items():
         c = read_classification(path, scheme, label=name)
-        if not c.paper_ids:
+        if not len(c.rows):
             raise CliError(f"{path}: no classification rows")
         if corpus is not None:
             try:
-                corpus.rows_of(c.paper_ids)
+                c = on_index(c, corpus.paper_ids)
             except CorpusError as exc:
                 raise CliError(f"{path}: {exc}") from None
         out[name] = c
@@ -127,10 +127,10 @@ def _read_classifications(paths: dict[str, str], scheme, corpus=None):
 
 def _initial_classification(corpus, min_refs: int) -> Classification:
     """The journal vectors of the papers with at least ``min_refs`` references."""
-    rows, eligible = eligible_rows(corpus, min_refs)
-    return Classification("initial", eligible,
+    rows = eligible_rows(corpus, min_refs)
+    return Classification("initial", corpus.paper_ids, rows,
                           corpus.journal_weights[corpus.paper_journal[rows]],
-                          unreclassified=len(corpus) - len(eligible))
+                          unreclassified=len(corpus) - len(rows))
 
 
 def cmd_run(args) -> int:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import count, repeat
 
 import numpy as np
@@ -37,7 +36,8 @@ class Corpus:
 
     Row ``i`` of ``incidence`` (papers x references, citation counts) and
     ``ref_counts`` belongs to ``paper_ids[i]``; column ``j`` of
-    ``incidence`` belongs to ``ref_ids[j]``.  Both id tuples are sorted.
+    ``incidence`` belongs to ``ref_ids[j]``.  Both are sorted, read-only
+    arrays of ``str`` objects.
     ``paper_journal[i]`` is the index of paper ``i``'s journal in
     ``journals`` and its row in ``journal_weights`` (journals x categories,
     rows summing to 1).
@@ -45,13 +45,12 @@ class Corpus:
 
     scheme: CategoryScheme
     journals: tuple[JournalAssignment, ...]
-    paper_ids: tuple[str, ...]
-    ref_ids: tuple[str, ...]
+    paper_ids: np.ndarray
+    ref_ids: np.ndarray
     paper_journal: np.ndarray
     incidence: sp.csr_matrix
     journal_weights: sp.csr_matrix
     ref_counts: np.ndarray
-    _rows_by_ids: list = field(default_factory=list, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.paper_ids)
@@ -66,35 +65,13 @@ class Corpus:
         is built on each call."""
         return self.incidence, self.initial, self.ref_counts
 
-    @cached_property
-    def _row_of(self) -> dict[str, int]:
-        return dict(zip(self.paper_ids, range(len(self.paper_ids))))
 
-    def rows_of(self, paper_ids: tuple[str, ...]) -> np.ndarray:
-        """The rows of ``paper_ids``, read-only and kept per tuple: equal tuples
-        share one lookup.  A kept tuple is found by identity or by comparing
-        items, never by hashing all of them.  CorpusError names the first id
-        not in the corpus."""
-        for ids, rows in self._rows_by_ids:
-            if ids is paper_ids or ids == paper_ids:
-                return rows
-        rows = np.fromiter(map(self._row_of.get, paper_ids, repeat(-1)), np.intp,
-                           len(paper_ids))
-        missing = np.flatnonzero(rows < 0)
-        if len(missing):
-            raise CorpusError(f"paper_id {paper_ids[missing[0]]} is not in the corpus")
-        rows.flags.writeable = False
-        self._rows_by_ids.append((paper_ids, rows))
-        return rows
-
-
-def eligible_rows(corpus: Corpus, min_refs: int = DEFAULT_MIN_REFS):
-    """The rows of the papers with at least ``min_refs`` reference slots, and their ids.
+def eligible_rows(corpus: Corpus, min_refs: int = DEFAULT_MIN_REFS) -> np.ndarray:
+    """The rows of the papers with at least ``min_refs`` reference slots, ascending.
 
     The other papers are the unreclassified ones.
     """
-    rows = np.flatnonzero(corpus.ref_counts >= min_refs)
-    return rows, tuple(np.array(corpus.paper_ids, dtype=object)[rows])
+    return np.flatnonzero(corpus.ref_counts >= min_refs)
 
 
 def misc_exclusive_papers(corpus: Corpus) -> np.ndarray:
@@ -224,8 +201,9 @@ def _read_references(path, paper_code: dict[str, int]):
 
 
 def _sorted_codes(codes: dict[str, int]):
-    """The ids in sorted order and, per code, the id's position in that order."""
-    ids = tuple(sorted(codes))
+    """The ids in sorted order, read-only, and, per code, the id's position in that order."""
+    ids = np.array(sorted(codes), dtype=object)
+    ids.flags.writeable = False
     rank = np.empty(len(ids), dtype=np.int32)
     rank[np.fromiter(map(codes.__getitem__, ids), np.intp, len(ids))] = np.arange(len(ids))
     return ids, rank

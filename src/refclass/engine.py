@@ -91,12 +91,14 @@ class Classification:
     """Per-paper weight vectors under a named variant.
 
     ``weights`` is a papers x categories CSR matrix whose row ``i`` belongs
-    to ``paper_ids[i]``; ``paper_ids`` is sorted, and the matrix has sorted
-    column indices and no explicit zeros.
+    to ``index[rows[i]]``: ``index`` is a sorted, read-only array of ``str``
+    ids, ``rows`` ascending.  The matrix has sorted column indices, no explicit
+    zeros and no empty row.
     """
 
     variant_label: str
-    paper_ids: tuple[str, ...]
+    index: np.ndarray
+    rows: np.ndarray
     weights: sp.csr_matrix
     unreclassified: int = 0  # papers of the corpus left out for too few references
     iterations_run: int = 0
@@ -105,9 +107,18 @@ class Classification:
     stalled: int = 0
 
     def __post_init__(self):
-        if len(self.paper_ids) != self.weights.shape[0]:
-            raise ValueError(f"{len(self.paper_ids)} paper ids for "
+        if len(self.rows) != self.weights.shape[0]:
+            raise ValueError(f"{len(self.rows)} paper rows for "
                              f"{self.weights.shape[0]} weight rows")
+        empty = np.flatnonzero(np.diff(self.weights.indptr) == 0)
+        if len(empty):
+            raise ValueError(f"paper {self.index[self.rows[empty[0]]]}: no entries")
+
+    @property
+    def paper_ids(self) -> np.ndarray:
+        """The classified papers' ids, ``index[rows]``, made on each access unless
+        the rows are all of ``index``."""
+        return self.index if len(self.rows) == len(self.index) else self.index[self.rows]
 
     @property
     def vectors(self) -> Mapping[str, dict[int, float]]:
@@ -118,6 +129,20 @@ class Classification:
         return MappingProxyType({
             pid: dict(zip(indices[lo:hi], data[lo:hi]))
             for pid, lo, hi in zip(self.paper_ids, bounds, bounds[1:])})
+
+
+def on_index(c: Classification, index: np.ndarray) -> Classification:
+    """``c`` on the sorted id array ``index``, by one merge of the two sorted id
+    arrays.  CorpusError names the first paper, in id order, not in ``index``."""
+    if c.index is index:
+        return c
+    ids = c.paper_ids
+    _, rows, found = np.intersect1d(index, ids, assume_unique=True, return_indices=True)
+    if len(found) < len(ids):
+        missing = np.setdiff1d(np.arange(len(ids)), found)[0]
+        raise CorpusError(f"paper_id {ids[missing]} is not in the corpus")
+    return dataclasses.replace(c, index=index, rows=rows,
+                               residual_trace=list(c.residual_trace))
 
 
 def row_fsums(m: sp.csr_matrix) -> np.ndarray:
@@ -480,7 +505,7 @@ def propagate(corpus: Corpus, config: EngineConfig):
     incidence, ref_counts = corpus.incidence, corpus.ref_counts
     weights, journal = corpus.journal_weights, corpus.paper_journal
     n, k = len(corpus.paper_ids), weights.shape[1]
-    elig_rows, elig_ids = eligible_rows(corpus, config.min_refs)
+    elig_rows = eligible_rows(corpus, config.min_refs)
     if not len(elig_rows):
         raise EngineError("no eligible papers")
 
@@ -507,7 +532,7 @@ def propagate(corpus: Corpus, config: EngineConfig):
     refs = np.empty((incidence.shape[1], k))
     support = _Support(weights, journal, elig_rows, scale)
 
-    threshold = config.effective_threshold(len(elig_ids))
+    threshold = config.effective_threshold(len(elig_rows))
     trace: list[float] = []
     stalled = 0
     for _ in range(config.max_iterations):
@@ -525,15 +550,16 @@ def propagate(corpus: Corpus, config: EngineConfig):
     _check_support(jl_rows, weights, journal, elig_rows)
     jl = Classification(
         variant_label=f"JL-{config.weight_label}",
-        paper_ids=elig_ids,
+        index=corpus.paper_ids,
+        rows=elig_rows,
         weights=jl_rows,
-        unreclassified=len(corpus) - len(elig_ids),
+        unreclassified=len(corpus) - len(elig_rows),
         iterations_run=len(trace),
         residual_trace=trace,
         converged=trace[-1] < threshold,
         stalled=stalled,
     )
-    u1_stalled = np.zeros(len(elig_ids), dtype=bool)
+    u1_stalled = np.zeros(len(elig_rows), dtype=bool)
     return jl, _propagate(paper_blocks, refs, jl_rows, elig_rows, u1_stalled), u1_stalled
 
 
@@ -574,7 +600,7 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
     csv-style; other ids are written as they are.
     """
     path = Path(path)
-    w, pids = c.weights, c.paper_ids
+    w, pids = c.weights, c.paper_ids.tolist()
     joined = "".join(pids)
     if "," in joined or '"' in joined:
         pids = list(map(_csv_field, pids))
@@ -596,7 +622,7 @@ def write_classification(c: Classification, scheme: CategoryScheme, path) -> Non
         "residual_trace": c.residual_trace,
         "converged": c.converged,
         "stalled": c.stalled,
-        "papers": len(c.paper_ids),
+        "papers": len(c.rows),
         "unreclassified": c.unreclassified,
     }
     sidecar_path(path).write_text(
@@ -644,7 +670,7 @@ def _read_sidecar(path: Path) -> dict:
 
 def read_classification(path, scheme: CategoryScheme,
                         label: str | None = None) -> Classification:
-    """Read a classification table written by write_classification.
+    """Read a classification table written by write_classification, on its own index.
 
     Every row needs a category code of ``scheme`` and a positive finite
     weight, and no (paper_id, category_code) pair may repeat; a row that
@@ -675,7 +701,12 @@ def read_classification(path, scheme: CategoryScheme,
         pids += cols["paper_id"]
         lines += chunk.lines
 
-    ids, rows = np.unique(np.array(pids, dtype=str), return_inverse=True)
+    # the table's own index: the distinct ids of its runs of equal ids, sorted
+    pids = np.array(pids, dtype=object)
+    heads = np.flatnonzero(np.append(True, pids[1:] != pids[:-1])[:len(pids)])
+    ids, rows = np.unique(pids[heads], return_inverse=True)
+    rows = np.repeat(rows, np.diff(np.append(heads, len(pids))))
+    ids.flags.writeable = False
     indices = np.array(indices, dtype=np.int32)
     order = np.lexsort((indices, rows))  # stable: a repeat follows its first row
     rows, indices = rows[order], indices[order]
@@ -693,7 +724,7 @@ def read_classification(path, scheme: CategoryScheme,
     meta_file = sidecar_path(path)
     meta = _read_sidecar(meta_file) if meta_file.exists() else {}
     return Classification(
-        label or meta.get("variant", Path(path).stem), tuple(ids.tolist()), matrix,
+        label or meta.get("variant", Path(path).stem), ids, np.arange(len(ids)), matrix,
         iterations_run=meta.get("iterations_run", 0),
         residual_trace=meta.get("residual_trace", []),
         converged=meta.get("converged", True),

@@ -35,7 +35,8 @@ class NoCommonPapers(ValueError):
 
 
 def _common_rows(a: Classification, b: Classification):
-    """The rows of a and b that belong to their common papers, aligned.
+    """The rows of a and b that belong to their common papers, aligned: by rows
+    on one index, by paper id otherwise.
 
     ValueError if the two differ in width, NoCommonPapers if they share no paper.
     """
@@ -43,10 +44,9 @@ def _common_rows(a: Classification, b: Classification):
     if wa.shape[1] != wb.shape[1]:
         raise ValueError(f"{a.variant_label} has {wa.shape[1]} categories and "
                          f"{b.variant_label} has {wb.shape[1]}")
-    if a.paper_ids != b.paper_ids:
-        _, ia, ib = np.intersect1d(np.array(a.paper_ids, dtype=str),
-                                   np.array(b.paper_ids, dtype=str),
-                                   assume_unique=True, return_indices=True)
+    ka, kb = (a.rows, b.rows) if a.index is b.index else (a.paper_ids, b.paper_ids)
+    if not np.array_equal(ka, kb):
+        _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
         wa = wa if len(ia) == wa.shape[0] else wa[ia]
         wb = wb if len(ib) == wb.shape[0] else wb[ib]
     if not wa.shape[0]:
@@ -74,10 +74,10 @@ def category_sizes(c: Classification) -> dict[int, float]:
 
 def granularity(c: Classification) -> float:
     """Paper count divided by the sum of squared category sizes."""
-    if not c.paper_ids:
+    if not len(c.rows):
         raise ValueError("empty classification")
     sizes = _column_sums(c.weights)
-    return len(c.paper_ids) / math.fsum((sizes * sizes).tolist())
+    return len(c.rows) / math.fsum((sizes * sizes).tolist())
 
 
 def size_cv(c: Classification) -> float:
@@ -135,7 +135,7 @@ def rank_metrics(a: Classification, b: Classification) -> tuple[RankStats, RankS
 
     A row's winner is its heaviest entry, ties to the lowest column; its rank in
     the other row is 1 plus the entries there heavier than it or as heavy at a
-    lower column, counted, not sorted.  Every row holds an entry.
+    lower column, counted, not sorted.
     """
     wa, wb = _common_rows(a, b)
     n = wa.shape[0]
@@ -172,7 +172,7 @@ class AssignmentHistogram:
 
 
 def assignment_histogram(c: Classification) -> AssignmentHistogram:
-    if not c.paper_ids:
+    if not len(c.rows):
         raise ValueError("empty classification")
     sizes = np.diff(c.weights.indptr)
     n = len(sizes)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import metrics
 from .corpus import Corpus, misc_exclusive_papers
-from .engine import Classification
+from .engine import Classification, on_index
 from .scheme import CategoryScheme, write_table
 
 
@@ -17,13 +17,17 @@ def write_report(out_dir, classifications: dict[str, Classification],
     """Write structure/pairwise/area/flow/retention tables plus metadata.
 
     ``origin`` names the classification used as the flow source (ValueError
-    if it is not one of them) and, when a corpus is given, the retention
-    tables are computed for every classification against the corpus's
-    misc-exclusive papers.  A pair without common papers gets no pairwise row
-    and no flow table; two classifications of different widths are a ValueError.
+    if it is not one of them) and, when a corpus is given, every classification
+    is placed on its index and the retention tables are computed against the
+    corpus's misc-exclusive papers.  A pair without common papers gets no
+    pairwise row and no flow table; two classifications of different widths
+    are a ValueError.
     """
     if origin is not None and origin not in classifications:
         raise ValueError(f"origin {origin!r} is not one of the classifications")
+    if corpus is not None:
+        classifications = {name: on_index(c, corpus.paper_ids)
+                           for name, c in classifications.items()}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = sorted(classifications)
@@ -51,8 +55,7 @@ def write_report(out_dir, classifications: dict[str, Classification],
         rows = []
         for name in names:
             c = classifications[name]
-            rows.append((name, metrics.refs_per_paper_acv(
-                c, corpus.ref_counts[corpus.rows_of(c.paper_ids)])))
+            rows.append((name, metrics.refs_per_paper_acv(c, corpus.ref_counts[c.rows])))
         write_table(out / "acv.csv", ("classification", "acv_all"), rows)
         written.append("acv.csv")
 
@@ -105,8 +108,7 @@ def write_report(out_dir, classifications: dict[str, Classification],
             rows = []
             for name in names:
                 c = classifications[name]
-                retention = metrics.same_area_retention(
-                    home_area[corpus.rows_of(c.paper_ids)], c, scheme)
+                retention = metrics.same_area_retention(home_area[c.rows], c, scheme)
                 for area, pct in retention.items():
                     rows.append((name, area, pct))
             write_table(out / "retention.csv",

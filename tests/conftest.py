@@ -69,7 +69,15 @@ def from_vectors(label: str, vectors: dict[str, dict[int, float]], k: int,
     weights = sp.csr_matrix(
         (np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
         shape=(len(pids), k))
-    return Classification(label, tuple(pids), weights, **meta)
+    return own_index(label, pids, weights, **meta)
+
+
+def own_index(label: str, ids, weights, **meta) -> Classification:
+    """A classification whose row ``i`` belongs to the ``i``-th of the sorted,
+    distinct ``ids``, on an index of its own."""
+    index = np.array(ids, dtype=object)
+    index.flags.writeable = False
+    return Classification(label, index, np.arange(len(index)), weights, **meta)
 
 
 def prune_vector(vector: dict[int, float], config) -> dict[int, float]:

@@ -6,15 +6,15 @@ import weakref
 
 import pytest
 
-from refclass import cli, engine
+from refclass import cli, engine, report
 from refclass.assign import PruneConfig
 from refclass.cli import main, parse_variant
-from refclass.corpus import Corpus
-from refclass.engine import read_classification
+from refclass.engine import read_classification, write_classification
+from refclass.metrics import coincidence_percentage
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
-from conftest import MALFORMED_SIDECARS, MALFORMED_TABLES
+from conftest import MALFORMED_SIDECARS, MALFORMED_TABLES, from_vectors
 
 
 @pytest.fixture(scope="module")
@@ -233,22 +233,23 @@ class TestRun:
             main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "raw"),
                   "--variants", "U1-F-0.8,U1-F-raw"])
 
-    def test_report_looks_up_each_paper_id_tuple_once(self, corpus_dir, tmp_path,
-                                                      monkeypatch, one_paper_table):
-        # both engine runs and initial hold the same paper ids: one lookup for
-        # them, and one for the compare table, shared by its check when the
-        # table is read and by the report.  A lookup reaches the id dict; the
-        # property stands in for the cached one and counts each access
-        lookups = []
+    def test_report_places_only_the_compare_table(self, corpus_dir, tmp_path,
+                                                  monkeypatch, one_paper_table):
+        # both engine runs and initial are built on the corpus's index, so none
+        # of them is placed on it; the compare table is placed once, when it is
+        # read, and the report finds it already there
+        placed = []
 
-        def row_of(corpus):
-            lookups.append(len(corpus))
-            return dict(zip(corpus.paper_ids, range(len(corpus))))
+        def counting(c, index):
+            if c.index is not index:
+                placed.append(c.variant_label)
+            return engine.on_index(c, index)
 
-        monkeypatch.setattr(Corpus, "_row_of", property(row_of))
+        monkeypatch.setattr(cli, "on_index", counting)
+        monkeypatch.setattr(report, "on_index", counting)
         assert main(["run", "--dir", str(corpus_dir), "--out", str(tmp_path / "out"),
                      "--compare", f"x={one_paper_table}"]) == 0
-        assert len(lookups) <= 2, lookups
+        assert placed == ["x"]
 
     def test_missing_out_is_an_error(self, corpus_dir, capsys):
         assert main(["run", "--dir", str(corpus_dir)]) == 1
@@ -575,6 +576,35 @@ class TestMetricsCommand:
         meta = json.loads((report / "metadata.json").read_text())
         assert meta["formulas"]["coincidence"] == "min-overlap-v1"
 
+    def test_report_of_the_run_files_equals_the_run_report(self, tmp_path):
+        # the run's classifications, read back and placed on the corpus's index,
+        # give its report byte for byte; initial is written from the library.
+        # A fifth of the papers have too few references, so every table holds
+        # a strict subset of the corpus
+        data = tmp_path / "data"
+        generate(SynthParams(n_papers=300, n_categories=16, seed=5, journal_noise=0.3,
+                             ref_noise=0.3, misc_fraction=0.1,
+                             multidisciplinary_fraction=0.2,
+                             short_ref_fraction=0.2)).write(data)
+        out = tmp_path / "run"
+        assert main(["run", "--dir", str(data), "--out", str(out)]) == 0
+        scheme = load_scheme(data / "scheme.csv")
+        corpus = cli._load_corpus(data, scheme)
+        assert corpus.ref_counts.min() < 3
+        write_classification(cli._initial_classification(corpus, 3), scheme,
+                             tmp_path / "initial.csv")
+        tables = [f"{v}={out / v}.csv" for v in cli.ALL_VARIANTS]
+        tables.append(f"initial={tmp_path / 'initial.csv'}")
+        report_dir = tmp_path / "report"
+        assert main(["metrics", "--scheme", str(data / "scheme.csv"),
+                     *(arg for t in tables for arg in ("--classification", t)),
+                     "--corpus-dir", str(data), "--origin", "initial",
+                     "--out", str(report_dir)]) == 0
+        run_report = read_outputs(out / "report")
+        assert {"acv.csv", "pairwise.csv", "retention.csv",
+                "flow_initial_to_U1-F-0.8.csv"} <= run_report.keys()
+        assert read_outputs(report_dir) == run_report
+
     def test_papers_without_references_get_nan_acv(self, short_refs_dir, tmp_path):
         report = tmp_path / "report"
         assert main(["metrics", "--scheme", str(short_refs_dir / "scheme.csv"),
@@ -625,25 +655,60 @@ class TestMetricsCommand:
         assert not report.exists()
 
     def test_paper_ids_with_delimiter_or_quote_round_trip(self, corpus_dir, tmp_path):
+        # ids with a comma, a quote, non-ASCII letters, or a trailing NUL that
+        # alone tells them from another paper's id (P05 stays in the corpus)
         data = tmp_path / "data"
         shutil.copytree(corpus_dir, data)
-        names = {"P00": "a,b", "P02": 'a"b'}
+        names = {"P00": "a,b", "P02": 'a"b', "P03": "Zürich-東京", "P04": "P05\0",
+                 "P06": 'é,"\0'}
         for table in ("papers.csv", "references.csv"):
-            with open(data / table, newline="") as fh:
+            with open(data / table, newline="", encoding="utf-8") as fh:
                 rows = [[names.get(r[0], r[0]), *r[1:]] for r in csv.reader(fh)]
-            with open(data / table, "w", newline="") as fh:
+            with open(data / table, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerows(rows)
         out = tmp_path / "out"
         assert main(["run", "--dir", str(data), "--out", str(out),
                      "--variants", "JL-F-0.8"]) == 0
         table = out / "JL-F-0.8.csv"
-        text = table.read_text()
-        assert '\n"a,b",' in text and '\n"a""b",' in text
+        text = table.read_text(encoding="utf-8")
+        assert '\n"a,b",' in text and '\n"a""b",' in text and '\n"é,""\0",' in text
         assert main(["metrics", "--scheme", str(data / "scheme.csv"),
                      "--classification", f"x={table}", "--corpus-dir", str(data),
                      "--out", str(tmp_path / "report")]) == 0
-        back = read_classification(table, load_scheme(data / "scheme.csv"))
-        assert {"a,b", 'a"b'} <= set(back.paper_ids)
+        scheme = load_scheme(data / "scheme.csv")
+        back = read_classification(table, scheme)
+        assert {*names.values(), "P05"} <= set(back.paper_ids)
+        write_classification(back, scheme, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == table.read_bytes()
+
+    def test_ids_that_differ_by_a_trailing_nul_are_two_papers(self, corpus_dir, tmp_path):
+        # "P00\0" is a second paper with P00's journal and references, so every
+        # variant gives the two the same rows
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        for table in ("papers.csv", "references.csv"):
+            with open(data / table, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            with open(data / table, "a", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(
+                    ["P00\0", *r[1:]] for r in rows if r[0] == "P00")
+        out = tmp_path / "out"
+        assert main(["run", "--dir", str(data), "--out", str(out),
+                     "--variants", "U1-F-0.8"]) == 0
+        report_dir = tmp_path / "report"
+        assert main(["metrics", "--scheme", str(data / "scheme.csv"),
+                     "--classification", f"U1-F-0.8={out / 'U1-F-0.8.csv'}",
+                     "--corpus-dir", str(data), "--out", str(report_dir)]) == 0
+        back = read_classification(out / "U1-F-0.8.csv", load_scheme(data / "scheme.csv"))
+        assert {"P00", "P00\0"} <= set(back.paper_ids)
+        assert len(back.paper_ids) == 61
+        assert (report_dir / "structure.csv").read_text().splitlines() == [
+            row for row in (out / "report" / "structure.csv").read_text().splitlines()
+            if not row.startswith("initial,")]
+        # two classifications on indexes of their own align those ids as two papers
+        a = from_vectors("a", {"P0": {0: 1.0}, "P1": {0: 1.0}, "P1\0": {1: 1.0}}, 3)
+        b = from_vectors("b", {"P1": {1: 1.0}, "P1\0": {1: 1.0}}, 3)
+        assert coincidence_percentage(a, b) == 50.0
 
     def test_table_with_unknown_paper_is_an_error(self, corpus_dir, tmp_path, capsys):
         table = tmp_path / "x.csv"

@@ -4,14 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refclass import scheme as scheme_module
 from refclass.corpus import CorpusError, eligible_rows, load_corpus, misc_exclusive_papers
+from refclass.engine import on_index
 from refclass.scheme import JournalAssignment, fractionalize_journal, load_scheme
 
-from conftest import build_corpus, build_scheme, vec_sum
+from conftest import build_corpus, build_scheme, own_index, vec_sum
 
 SCHEME_TEXT = (
     "code,area_code,kind\n"
@@ -46,14 +48,14 @@ class TestLoadCorpus:
     def test_structural_counts(self):
         corpus = load_example()
         assert len(corpus) == 3
-        assert corpus.paper_ids == ("p1", "p2", "p3")
-        assert corpus.ref_ids == ("r1", "r2", "r3")
+        assert corpus.paper_ids.tolist() == ["p1", "p2", "p3"]
+        assert corpus.ref_ids.tolist() == ["r1", "r2", "r3"]
 
     def test_duplicate_reference_pair_counts_twice(self):
         corpus = load_example()
         incidence, _, counts = corpus.matrices()
         assert counts[0] == 3
-        assert incidence[0, corpus.ref_ids.index("r1")] == 2
+        assert incidence[0, corpus.ref_ids.tolist().index("r1")] == 2
 
     def test_initial_vectors_inherit_journal(self):
         corpus = load_example()
@@ -109,8 +111,8 @@ class TestLoadCorpus:
         corpus = load_corpus(paths["papers"], paths["journals"], paths["references"],
                              load_scheme(io.StringIO(SCHEME_TEXT)))
         example = load_example()
-        assert corpus.paper_ids == example.paper_ids
-        assert corpus.ref_ids == example.ref_ids
+        assert corpus.paper_ids.tolist() == example.paper_ids.tolist()
+        assert corpus.ref_ids.tolist() == example.ref_ids.tolist()
         for a, b in zip(corpus.matrices()[:2], example.matrices()[:2]):
             assert (a != b).nnz == 0
 
@@ -176,14 +178,13 @@ class TestEligibility:
 
     def test_min_refs_filter(self):
         corpus = self.make([0, 2, 3, 7])
-        rows, eligible = eligible_rows(corpus, 3)
+        rows = eligible_rows(corpus, 3)
         assert rows.tolist() == [2, 3]
-        assert eligible == ("p2", "p3")
-        assert set(corpus.paper_ids) - set(eligible) == {"p0", "p1"}
+        assert corpus.paper_ids[rows].tolist() == ["p2", "p3"]
 
     def test_min_refs_zero_keeps_all(self):
         corpus = self.make([0, 2, 3, 7])
-        assert eligible_rows(corpus, 0)[1] == ("p0", "p1", "p2", "p3")
+        assert eligible_rows(corpus, 0).tolist() == [0, 1, 2, 3]
 
 
 class TestInvariants:
@@ -195,8 +196,8 @@ class TestInvariants:
 
     def test_load_is_deterministic(self):
         a, b = load_example(), load_example()
-        assert a.paper_ids == b.paper_ids
-        assert a.ref_ids == b.ref_ids
+        assert a.paper_ids.tolist() == b.paper_ids.tolist()
+        assert a.ref_ids.tolist() == b.ref_ids.tolist()
         for ma, mb in zip(a.matrices()[:2], b.matrices()[:2]):
             assert (ma != mb).nnz == 0
         assert np.array_equal(a.ref_counts, b.ref_counts)
@@ -208,7 +209,7 @@ class TestInvariants:
         assert initial.shape == (3, corpus.scheme.size)
         assert list(counts) == [3, 1, 1]
         # multiplicity lands in the incidence values
-        assert incidence[0, corpus.ref_ids.index("r1")] == 2
+        assert incidence[0, corpus.ref_ids.tolist().index("r1")] == 2
 
 
 def test_misc_exclusive_papers():
@@ -216,26 +217,28 @@ def test_misc_exclusive_papers():
     assert misc_exclusive_papers(corpus).tolist() == [-1, -1, 1100]
 
 
-def test_rows_of_names_the_first_unknown_paper():
+def test_ids_are_sorted_read_only_arrays_of_str_objects():
     corpus = load_example()
-    assert corpus.rows_of(("p3", "p1")).tolist() == [2, 0]
+    for ids in (corpus.paper_ids, corpus.ref_ids):
+        assert ids.dtype == object and not ids.flags.writeable
+        assert all(type(i) is str for i in ids)
+
+
+def test_on_index_names_the_first_unknown_paper():
+    corpus = load_example()
+    weights = sp.csr_matrix(np.ones((2, 1)))
+    placed = on_index(own_index("x", ["p1", "p3"], weights), corpus.paper_ids)
+    assert placed.index is corpus.paper_ids
+    assert placed.rows.tolist() == [0, 2]
+    assert placed.paper_ids.tolist() == ["p1", "p3"]
     with pytest.raises(CorpusError, match="^paper_id p0 is not in the corpus$"):
-        corpus.rows_of(("p1", "p0", "p9"))
-
-
-class Unhashed(tuple):
-    def __hash__(self):
-        raise AssertionError("hashed")
-
-
-def test_rows_of_finds_a_kept_tuple_without_hashing_it():
-    # hashing a tuple visits every id, on every call: 9-13 ms for 1M ids
-    corpus = load_example()
-    ids = Unhashed(("p3", "p1"))
-    rows = corpus.rows_of(ids)
-    assert corpus.rows_of(ids) is rows
-    assert corpus.rows_of(Unhashed(("p3", "p1"))) is rows
-    assert corpus.rows_of(Unhashed(("p1",))).tolist() == [0]
+        on_index(own_index("x", ["p0", "p1", "p9"], sp.csr_matrix(np.ones((3, 1)))),
+                 corpus.paper_ids)
+    # past the last id, and equal to a corpus id but for a trailing NUL
+    for unknown in ("p9", "p1\0"):
+        with pytest.raises(CorpusError) as exc:
+            on_index(own_index("x", ["p1", unknown], weights), corpus.paper_ids)
+        assert str(exc.value) == f"paper_id {unknown} is not in the corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +378,8 @@ def test_load_corpus_matches_plain_csv_reading(texts, chunk_rows):
         corpus = load_corpus(tables["papers"], tables["journals"], tables["references"],
                              SCHEME)
     paper_ids, ref_ids, incidence, initial, counts = expected
-    assert corpus.paper_ids == paper_ids
-    assert corpus.ref_ids == ref_ids
+    assert tuple(corpus.paper_ids) == paper_ids
+    assert tuple(corpus.ref_ids) == ref_ids
     for matrix, dense in ((corpus.incidence, incidence), (corpus.initial, initial)):
         assert matrix.has_canonical_format
         assert np.array_equal(matrix.toarray(), dense)

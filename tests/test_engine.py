@@ -208,7 +208,7 @@ def reference_run(corpus, config):
     """
     incidence, w0, ref_counts = corpus.matrices()
     n = len(corpus.paper_ids)
-    rows, _ = eligible_rows(corpus, config.min_refs)
+    rows = eligible_rows(corpus, config.min_refs)
     in_scope = np.zeros(n, dtype=bool)
     in_scope[rows] = True
     scale = None
@@ -263,8 +263,8 @@ def matrix_corpus(incidence, weights):
     weights[weights.sum(axis=1) == 0, 0] = 1.0
     return Corpus(
         scheme=build_scheme([(1102 + c, 1100) for c in range(k)]), journals=(),
-        paper_ids=tuple(f"p{i}" for i in range(n)),
-        ref_ids=tuple(f"r{j}" for j in range(incidence.shape[1])),
+        paper_ids=np.array([f"p{i}" for i in range(n)], dtype=object),
+        ref_ids=np.array([f"r{j}" for j in range(incidence.shape[1])], dtype=object),
         paper_journal=np.arange(n), incidence=sp.csr_matrix(incidence),
         journal_weights=sp.csr_matrix(weights / weights.sum(axis=1, keepdims=True)),
         ref_counts=incidence.sum(axis=1).astype(np.intp))
@@ -441,7 +441,7 @@ class TestAccumulate:
         corpus = load_corpus(paths["papers"], paths["journals"], paths["references"],
                              load_scheme(paths["scheme"]))
         incidence, w0, ref_counts = corpus.matrices()
-        scope, _ = eligible_rows(corpus, 5)
+        scope = eligible_rows(corpus, 5)
         assert 0 < len(scope) < len(corpus)
         inv = 1.0 / np.maximum(ref_counts, 1)
         for row_scale in (np.ones(len(corpus)), inv):
@@ -533,7 +533,7 @@ class TestRun:
         assert jl.unreclassified == u1.unreclassified == 1
         incidence, w0, _ = corpus.matrices()
         refs = accumulate(incidence.T.tocsr(), w0)
-        r1 = corpus.ref_ids.index("r1")
+        r1 = corpus.ref_ids.tolist().index("r1")
         assert refs[r1, 1] > 0  # the short paper still contributed to r1
 
     def test_exclude_ineligible_citers_switch(self):
@@ -632,6 +632,26 @@ class TestRun:
         assert jl.vectors and u1.vectors
 
 
+def test_classification_rejects_a_row_without_entries():
+    # a pairwise metric would take the next row's winner for it, or fail on
+    # the last row
+    with pytest.raises(ValueError, match="^paper p: no entries$"):
+        from_vectors("a", {"p": {}, "q": {0: 1.0}}, 3)
+    with pytest.raises(ValueError, match="^paper q: no entries$"):
+        from_vectors("a", {"p": {0: 1.0}, "q": {}}, 3)
+
+
+def test_paper_ids_are_the_index_at_the_rows():
+    corpus = two_cat_corpus({"p1": ("JA", ["r1", "r2", "r3"]),
+                             "p2": ("JB", ["r1"]),
+                             "p3": ("JB", ["r1", "r2", "r4"])})
+    jl, u1 = run(corpus, EngineConfig())
+    for c in (jl, u1):
+        assert c.index is corpus.paper_ids
+        assert c.rows.tolist() == [0, 2]
+        assert c.paper_ids.tolist() == ["p1", "p3"]
+
+
 class TestClassificationIO:
     def test_round_trip(self, tmp_path):
         scheme = build_scheme([(1102, 1100), (1103, 1100)])
@@ -711,7 +731,9 @@ def test_read_classification_rejects_malformed_sidecar(tmp_path, case):
 FUZZ_SCHEME = build_scheme([(1102, 1100), (1103, 1100), (1202, 1200)],
                            multi=1000, misc={1100: 1101})
 # ids with the delimiter, quotes and spaces inside, so some fields are quoted
-FUZZ_ID = st.text(alphabet='ab1,"; ', min_size=1, max_size=4).map(lambda t: f"x{t}x")
+FUZZ_ID = st.one_of(
+    st.text(alphabet='ab1,"; é\0', min_size=1, max_size=4).map(lambda t: f"x{t}x"),
+    st.sampled_from(["xa", "xa\0", "xa\0\0"]))  # ids told apart by trailing NULs
 # (field text, category index); the index is None where the code must be rejected
 CODE = st.sampled_from([("1102", 0), ("1103", 1), ("1202", 2)])
 BAD_CODE = st.sampled_from([("1101", None), ("1000", None), ("99999", None),
@@ -811,12 +833,12 @@ def test_read_classification_matches_plain_reading(table, chunk_rows):
             assert words in str(err.value)
             return
         c = read_classification(path, FUZZ_SCHEME)
-        assert c.paper_ids == tuple(sorted(expected))
+        assert c.paper_ids.tolist() == sorted(expected)
         assert c.vectors == expected
         # any table that reads also round-trips through write_classification
         write_classification(c, FUZZ_SCHEME, Path(tmp) / "back.csv")
         back = read_classification(Path(tmp) / "back.csv", FUZZ_SCHEME)
-    assert back.paper_ids == c.paper_ids
+    assert back.paper_ids.tolist() == c.paper_ids.tolist()
     assert back.variant_label == c.variant_label
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(back.weights, attr), getattr(c.weights, attr))

@@ -17,12 +17,12 @@ import scipy.sparse as sp
 from refclass import cli, engine
 from refclass.assign import PruneConfig, prune_classification
 from refclass.corpus import load_corpus
-from refclass.engine import (Classification, EngineConfig, _Support, _row_blocks, run,
+from refclass.engine import (EngineConfig, _Support, _row_blocks, run,
                              write_classification)
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
 
-from conftest import build_scheme
+from conftest import build_scheme, own_index
 
 
 def traced(fn, *args):
@@ -40,8 +40,7 @@ def dense_classification(n, k):
     """A raw U1-like classification whose n rows all hold every one of k categories."""
     weights = np.random.default_rng(0).random((n, k)) + 1e-3
     weights /= weights.sum(axis=1)[:, None]
-    return Classification("U1-F", tuple(f"p{i:05d}" for i in range(n)),
-                          sp.csr_matrix(weights))
+    return own_index("U1-F", [f"p{i:05d}" for i in range(n)], sp.csr_matrix(weights))
 
 
 @pytest.mark.parametrize("threshold", [0.5, 0.8])
@@ -76,7 +75,7 @@ def test_prune_of_short_rows_scans_no_entry_twice(threshold):
     indices = cols[cols < k].astype(np.int32)
     weights = sp.csr_matrix((rng.random(len(indices)) + 1e-3, indices,
                              np.concatenate(([0], np.cumsum(counts)))), shape=(n, k))
-    c = Classification("JL-F", tuple(f"p{i:05d}" for i in range(n)), weights)
+    c = own_index("JL-F", [f"p{i:05d}" for i in range(n)], weights)
     pruned, peak, _ = traced(prune_classification, c, PruneConfig(threshold))
     assert pruned.weights.nnz < weights.nnz
     assert peak <= 3.2 * (weights.data.nbytes + weights.indices.nbytes)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from refclass import metrics
+from refclass.corpus import CorpusError
+from refclass.engine import on_index
 from refclass.metrics import (area_aggregate, area_flow, assignment_histogram,
                               category_correlation, category_sizes,
                               coincidence_percentage, granularity,
@@ -74,19 +76,19 @@ class TestRefsAcv:
         corpus = self.make_corpus([4, 4, 4])
         c = classification({p: {0: 1.0} for p in corpus.paper_ids})
         assert refs_per_paper_acv(
-            c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) == pytest.approx(0.0)
+            c, corpus.ref_counts[on_index(c, corpus.paper_ids).rows]) == pytest.approx(0.0)
 
     def test_counts_two_and_four(self):
         corpus = self.make_corpus([2, 4])
         c = classification({p: {0: 1.0} for p in corpus.paper_ids})
         assert refs_per_paper_acv(
-            c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) == pytest.approx(1 / 3)
+            c, corpus.ref_counts[on_index(c, corpus.paper_ids).rows]) == pytest.approx(1 / 3)
 
     def test_no_category_with_positive_mean_count_is_nan(self):
         corpus = self.make_corpus([0, 0])
         c = classification({p: {0: 1.0} for p in corpus.paper_ids})
         assert math.isnan(refs_per_paper_acv(
-            c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]))
+            c, corpus.ref_counts[on_index(c, corpus.paper_ids).rows]))
 
     def test_fractional_membership_matches_brute_force(self):
         corpus = self.make_corpus([2, 5, 9])
@@ -102,7 +104,7 @@ class TestRefsAcv:
             mean = float((w * n).sum() / w.sum())
             var = float((w * (n - mean) ** 2).sum() / w.sum())
             cvs.append(math.sqrt(var) / mean)
-        assert refs_per_paper_acv(c, corpus.ref_counts[corpus.rows_of(c.paper_ids)]) \
+        assert refs_per_paper_acv(c, corpus.ref_counts[on_index(c, corpus.paper_ids).rows]) \
             == pytest.approx(np.mean(cvs), abs=1e-12)
 
 
@@ -291,6 +293,20 @@ class TestWriteReport:
         assert write_report(tmp_path, cs, SCHEME, origin="a") == ["structure.csv",
                                                                    "areas.csv"]
         assert not (tmp_path / "pairwise.csv").exists()
+
+    def test_classifications_are_placed_on_the_corpus_index(self, tmp_path):
+        # tables on indexes of their own, as read_classification returns them:
+        # the reference counts are those of their papers' corpus rows
+        corpus = TestRefsAcv().make_corpus([2, 4, 9])
+        cs = {"a": classification({"p1": {0: 1.0}, "p2": {0: 1.0}}, "a"),
+              "b": classification({"p0": {0: 1.0}, "p1": {0: 1.0}}, "b")}
+        write_report(tmp_path, cs, SCHEME, corpus=corpus)
+        assert (tmp_path / "acv.csv").read_text().splitlines()[1:] == [
+            f"a,{refs_per_paper_acv(cs['a'], np.array([4, 9]))}",
+            f"b,{refs_per_paper_acv(cs['b'], np.array([2, 4]))}"]
+        cs["c"] = classification({"p3": {0: 1.0}}, "c")
+        with pytest.raises(CorpusError, match="^paper_id p3 is not in the corpus$"):
+            write_report(tmp_path / "again", cs, SCHEME, corpus=corpus)
 
     def test_unknown_origin_is_an_error(self, tmp_path):
         cs = {"a": classification({"p": {0: 1.0}}), "b": classification({"p": {3: 1.0}})}
