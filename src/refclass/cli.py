@@ -11,11 +11,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .assign import DEFAULT_THRESHOLDS, PruneConfig, prune_blocks, pruned
@@ -109,18 +112,21 @@ def _named_paths(items, flag: str, taken=frozenset()) -> dict[str, str]:
 def _read_classifications(paths: dict[str, str], scheme, corpus=None):
     """{NAME: PATH} -> {NAME: classification}.
 
-    A table must hold a row.  With a corpus, it is placed on the corpus's index.
+    A table must hold a row.  With a corpus, it is placed on the corpus's index;
+    a table of the previous one's ids, as tables from one run are, takes its rows.
     """
-    out = {}
+    out, placed = {}, None  # the last placed table's own ids and its rows
     for name, path in paths.items():
         c = read_classification(path, scheme, label=name)
         if not len(c.rows):
             raise CliError(f"{path}: no classification rows")
         if corpus is not None:
-            try:
-                c = on_index(c, corpus.paper_ids)
-            except CorpusError as exc:
-                raise CliError(f"{path}: {exc}") from None
+            if placed is None or not np.array_equal(c.index, placed[0]):
+                try:
+                    placed = c.index, on_index(c, corpus.paper_ids).rows
+                except CorpusError as exc:
+                    raise CliError(f"{path}: {exc}") from None
+            c = dataclasses.replace(c, index=corpus.paper_ids, rows=placed[1])
         out[name] = c
     return out
 

@@ -25,6 +25,8 @@ from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
+# Y += A @ X for CSC A and dense X, Y: the kernel of scipy's own csc @ dense
+from scipy.sparse._sparsetools import csc_matvecs
 
 from .corpus import Corpus, CorpusError, DEFAULT_MIN_REFS, eligible_rows
 from .scheme import CategoryScheme, read_table
@@ -35,11 +37,12 @@ DEFAULT_PER_PAPER_THRESHOLD = 9.243e-4
 ABSOLUTE_THRESHOLD = 3000.0
 
 # stored or output entries per block or range of every bounded pass: the
-# product blocks stay in cache, which keeps the per-iteration cost linear in
-# the paper count, and the ranking, the writer and the support check hold a
-# block's temporaries only.  The passes whose temporaries cost 16 bytes or
-# more per entry, or hold Python floats, take a quarter of it: row_fsums' sums
-# and the JL support's construction, scatter, compaction and final columns
+# product blocks and the citing buffer stay in cache, which keeps the
+# per-iteration cost linear in the paper count, and the ranking, the writer and
+# the support check hold a block's temporaries only.  The passes whose
+# temporaries cost 16 bytes or more per entry, or hold Python floats, take a
+# quarter of it: row_fsums' sums and the JL support's construction, compaction
+# and final columns
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -281,55 +284,57 @@ def _normalize(part: np.ndarray) -> None:
     part /= sums[:, None]
 
 
-def _accumulate(blocks, scaled: np.ndarray, refs: np.ndarray) -> None:
-    """Fill ``refs`` with citations @ ``scaled`` by blocks, rows scaled to unit sum.
+def _flat_rows(weights: sp.csr_matrix, journal: np.ndarray, rows: np.ndarray, n: int):
+    """(indptr, values, positions) of rows ``journal[rows]`` of ``weights``, sorted.
 
-    An entry adds its terms in ascending paper order from zero, like scipy's
-    sparse product; the zeros of ``scaled`` add exact zeros to these
-    non-negative sums.
+    Row ``i``'s entries sit at the flat positions ``rows[i] * k`` plus their
+    columns of an ``n`` x k matrix: int32 while it holds fewer than 2^31
+    entries.  Built one range of rows at a time.
     """
-    for lo, block in blocks:
-        part = refs[lo:lo + block.shape[0]]
-        part[...] = block @ scaled
-        _normalize(part)
+    k = weights.shape[1]
+    counts = np.diff(weights.indptr)[journal[rows]]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    values = np.empty(indptr[-1])
+    pos = np.empty(indptr[-1], dtype=np.int32 if n * k < 2**31 else np.int64)
+    for lo, hi in _entry_ranges(indptr, _BLOCK_ENTRIES // 4):
+        part = weights[journal[rows[lo:hi]]]
+        part.sort_indices()
+        a, b = indptr[lo], indptr[hi]
+        values[a:b] = part.data
+        at = pos[a:b]
+        at[...] = np.repeat(rows[lo:hi] * k, counts[lo:hi])
+        at += part.indices
+    return indptr, values, pos
 
 
 class _Support:
-    """The eligible papers' JL support, kept as arrays across the loop's steps.
+    """The eligible papers' JL support, kept as arrays across the loop's steps,
+    and the citing rows of the other papers.
 
-    Row ``i`` is paper row ``rows[i]``, scaled by ``scale[rows[i]]`` in the
-    papers x categories citing buffer.  Its entries are
-    ``values[indptr[i]:indptr[i + 1]]`` in ascending column order, and
-    ``pos`` holds each entry's flat index in that buffer, ``rows[i] * k`` plus
-    its column.  An entry costs 12 bytes: its value and its position, int32
-    while papers x categories stays below 2^31.  A step's new values live in
-    the citing buffer at ``pos`` from ``propagate`` to ``advance``, while
-    ``values`` holds each entry's squared change for ``residual``: no pass
-    reads those slots in between.  Every pass over the entries goes one row
-    block or range at a time, so its temporaries are bounded by one.  The
-    support only shrinks: an entry leaves when its new value rounds to zero.
+    Row ``i`` is paper row ``rows[i]``.  Its entries are
+    ``values[indptr[i]:indptr[i + 1]]`` in ascending column order, and ``pos``
+    holds each entry's flat position in the papers x categories matrix,
+    ``rows[i] * k`` plus its column.  An entry costs 20 bytes: its value, its
+    squared change in the last step and its int32 position.  The other papers
+    of nonzero ``scale`` cite with their journal rows times their scale, which
+    never change: ``fixed`` at ``fixed_pos``.  Every pass over the entries goes
+    one row block or range at a time, so its temporaries are bounded by one.
+    The support only shrinks: an entry leaves when its new value rounds to zero.
     """
 
     def __init__(self, weights: sp.csr_matrix, journal: np.ndarray, rows: np.ndarray,
                  scale: np.ndarray):
         """Row ``i`` starts as row ``journal[rows[i]]`` of ``weights``, sorted;
-        the citing buffer has a row per item of ``scale``."""
-        k = weights.shape[1]
+        ``scale`` is every paper row's citing scale."""
+        n, k = len(scale), weights.shape[1]
         self.shape = (len(rows), k)
         self.rows, self.scale = rows, scale
-        counts = np.diff(weights.indptr)[journal[rows]]
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.values = np.empty(self.indptr[-1])
-        self.pos = np.empty(self.indptr[-1],
-                            dtype=np.int32 if len(scale) * k < 2**31 else np.int64)
-        for lo, hi in _entry_ranges(self.indptr, _BLOCK_ENTRIES // 4):
-            part = weights[journal[rows[lo:hi]]]
-            part.sort_indices()
-            a, b = self.indptr[lo], self.indptr[hi]
-            self.values[a:b] = part.data
-            pos = self.pos[a:b]
-            pos[...] = np.repeat(rows[lo:hi] * k, counts[lo:hi])
-            pos += part.indices
+        self.indptr, self.values, self.pos = _flat_rows(weights, journal, rows, n)
+        self.change = np.empty(len(self.values))
+        other = scale != 0  # the other citers
+        other[rows] = False
+        p, self.fixed, self.fixed_pos = _flat_rows(weights, journal, np.flatnonzero(other), n)
+        self.fixed *= np.repeat(scale[other], np.diff(p))
 
     def csr(self) -> sp.csr_matrix:
         """The current rows as canonical CSR, on the support's own arrays.
@@ -343,17 +348,45 @@ class _Support:
         return sp.csr_matrix((self.values, self.pos.astype(np.int32, copy=False), p),
                              shape=self.shape)
 
-    def propagate(self, blocks, refs: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """Write the support's entries of ``blocks`` @ ``refs``, rows scaled to
-        unit sum, into the flat citing buffer at ``pos``; return the stalled rows.
+    def cite(self, blocks, refs: np.ndarray) -> None:
+        """Set ``refs``, references x categories, to the cited references' rows:
+        the transposed incidence @ the papers' rows times their scale, rows
+        scaled to unit sum.
+
+        ``blocks`` are row blocks of every paper row.  A block's scaled rows
+        are written into one reused dense buffer, and ``csc_matvecs`` adds the
+        block's transpose @ the buffer into ``refs`` in place.  So an entry adds
+        its terms in ascending paper order from zero, as scipy's product of the
+        whole transpose does; the zeros of the buffer add exact zeros to these
+        non-negative sums.
+        """
+        k, p = self.shape[1], self.indptr
+        refs[...] = 0.0
+        buffer = np.empty(max((block.shape[0] for _, block in blocks), default=0) * k)
+        for lo, block in blocks:
+            part = buffer[:block.shape[0] * k]
+            part[...] = 0.0
+            first, end = np.searchsorted(self.rows, (lo, lo + block.shape[0]))
+            scaled = np.repeat(self.scale[self.rows[first:end]], np.diff(p[first:end + 1]))
+            scaled *= self.values[p[first]:p[end]]
+            part[self.pos[p[first]:p[end]] - lo * k] = scaled
+            a, b = np.searchsorted(self.fixed_pos, (lo * k, lo * k + len(part)))
+            part[self.fixed_pos[a:b] - lo * k] = self.fixed[a:b]
+            csc_matvecs(len(refs), block.shape[0], k, block.indptr, block.indices,
+                        block.data, part, refs)
+        for lo, hi in _entry_ranges(k * np.arange(len(refs) + 1), _BLOCK_ENTRIES):
+            _normalize(refs[lo:hi])
+
+    def propagate(self, blocks, refs: np.ndarray) -> np.ndarray:
+        """Make the support's entries of ``blocks`` @ ``refs``, rows scaled to
+        unit sum, the current values; return the stalled rows.
 
         ``blocks`` are row blocks of every paper row; a block without a
         support row is skipped.  A row is divided by the sum of its nonzeros
         in column order, as scipy sums the masked product's row.  A row
-        without a nonzero stalls: it writes its current values.  A new value
-        may be 0.  Each current value becomes its squared change, taken while
-        the block's new values are at hand, which saves ``residual`` a pass
-        over the citing buffer.
+        without a nonzero stalls: it keeps its current values.  A new value
+        may be 0.  ``change`` takes each entry's squared change, while the
+        block's values are at hand.
         """
         p, k, pos = self.indptr, self.shape[1], self.pos
         stalled = np.zeros(self.shape[0], dtype=bool)
@@ -376,21 +409,20 @@ class _Support:
             if stall.any():
                 held = np.repeat(stall, counts)
                 part[held] = self.values[a:b][held]
-            flat[pos[a:b]] = part
-            change = self.values[a:b]
-            change -= part
+            change = np.subtract(self.values[a:b], part, out=self.change[a:b])
             change *= change
+            self.values[a:b] = part
         return stalled
 
     def residual(self) -> float:
-        """Total of the squared changes ``propagate`` left in ``values``.
+        """Total of the squared changes ``propagate`` left in ``change``.
 
         These are the terms, in the order, of scipy's
         ``diff.multiply(diff).sum()``, which sorts its operand's indices
         before it sums: the nonzero squared differences in (row, column)
         order, compacted in place.
         """
-        diff, p = self.values, self.indptr
+        diff, p = self.change, self.indptr
         end = 0  # the nonzeros go to the front, in order
         for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES):
             part = diff[p[lo]:p[hi]]
@@ -399,28 +431,19 @@ class _Support:
             end += len(part)
         return float(np.sum(diff[:end]))
 
-    def advance(self, flat: np.ndarray) -> None:
-        """Make the new values in ``flat`` the current ones and write them times
-        the citing scale back; an entry that rounded to zero writes 0 and leaves."""
+    def advance(self) -> None:
+        """Drop the entries whose new value rounded to zero, keeping the others in order."""
         p, values, pos = self.indptr, self.values, self.pos
-        ranges = _entry_ranges(p, _BLOCK_ENTRIES // 4)
-        for lo, hi in ranges:
-            a, b = p[lo], p[hi]
-            at = pos[a:b].astype(np.intp)  # converted once for the gather and the scatter
-            np.take(flat, at, out=values[a:b])
-            scaled = np.repeat(self.scale[self.rows[lo:hi]], np.diff(p[lo:hi + 1]))
-            scaled *= values[a:b]
-            flat[at] = scaled
-        if np.count_nonzero(values) < len(values):  # the nonzeros go to the front, in order
+        if np.count_nonzero(values) < len(values):
             indptr = np.zeros_like(p)
-            for lo, hi in ranges:
+            for lo, hi in _entry_ranges(p, _BLOCK_ENTRIES // 4):
                 a, b, end = p[lo], p[hi], indptr[lo]
                 keep = values[a:b] != 0
                 indptr[lo:hi + 1] = end + kept_indptr(keep, p[lo:hi + 1] - a)
                 for array in (values, pos):
                     array[end:indptr[hi]] = array[a:b][keep]
-            self.indptr = indptr
-            self.values, self.pos = values[:indptr[-1]], pos[:indptr[-1]]
+            self.indptr, end = indptr, indptr[-1]
+            self.values, self.pos, self.change = values[:end], pos[:end], self.change[:end]
 
 
 def _propagate(blocks, refs: np.ndarray, prev: sp.csr_matrix, rows: np.ndarray,
@@ -499,8 +522,9 @@ def propagate(corpus: Corpus, config: EngineConfig):
     the U1 pass computes each block when it is taken and marks its stalled
     rows in the mask, so the U1 matrix exists only if ``collect_rows``
     assembles it; ``unlimited`` makes the U1 classification.  The loop's
-    right operands are two dense buffers, updated in place; the eligible
-    papers' JL rows are a ``_Support``, and CSR only for the output.
+    dense operand is the references x categories buffer, updated in place;
+    the eligible papers' JL rows and the other citers are a ``_Support``, and
+    CSR only for the output.
     """
     incidence, ref_counts = corpus.incidence, corpus.ref_counts
     weights, journal = corpus.journal_weights, corpus.paper_journal
@@ -518,17 +542,9 @@ def propagate(corpus: Corpus, config: EngineConfig):
     if not config.include_ineligible_citers:
         scale[ref_counts < config.min_refs] = 0.0
 
-    # row blocks are views: the citing blocks of the transpose, which only they
-    # keep, and the paper blocks of incidence, every paper row
-    citing_blocks = _row_blocks(incidence.T.tocsr(), k)
+    # the paper blocks of incidence are views, every paper row; the loop's
+    # dense operand is the reference vectors
     paper_blocks = _row_blocks(incidence, k)
-    # the loop's dense operands: every paper's current vector times its scale
-    # (ineligible papers keep their journal vector) and the reference vectors
-    scaled = np.empty((n, k))
-    for lo, hi in _entry_ranges(k * np.arange(n + 1), _BLOCK_ENTRIES):
-        weights[journal[lo:hi]].toarray(out=scaled[lo:hi])
-    scaled *= scale[:, None]
-    flat = scaled.reshape(-1)  # the support's positions index it
     refs = np.empty((incidence.shape[1], k))
     support = _Support(weights, journal, elig_rows, scale)
 
@@ -536,17 +552,16 @@ def propagate(corpus: Corpus, config: EngineConfig):
     trace: list[float] = []
     stalled = 0
     for _ in range(config.max_iterations):
-        _accumulate(citing_blocks, scaled, refs)
-        zero = support.propagate(paper_blocks, refs, flat)
+        support.cite(paper_blocks, refs)
+        zero = support.propagate(paper_blocks, refs)
         trace.append(support.residual())
-        support.advance(flat)
+        support.advance()
         stalled += int(zero.sum())
         if trace[-1] < threshold:
             break
+    support.cite(paper_blocks, refs)  # the reference vectors the U1 pass reads
     jl_rows = support.csr()
-    del support  # the U1 pass needs no positions
-    _accumulate(citing_blocks, scaled, refs)  # the reference vectors the U1 pass reads
-    del citing_blocks, scaled, flat  # the check and the U1 pass read neither
+    del support  # the check and the U1 pass read neither changes nor citers
     _check_support(jl_rows, weights, journal, elig_rows)
     jl = Classification(
         variant_label=f"JL-{config.weight_label}",

@@ -4,6 +4,7 @@ import shutil
 import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 from refclass import cli, engine, report
@@ -604,6 +605,58 @@ class TestMetricsCommand:
         assert {"acv.csv", "pairwise.csv", "retention.csv",
                 "flow_initial_to_U1-F-0.8.csv"} <= run_report.keys()
         assert read_outputs(report_dir) == run_report
+
+    def test_tables_of_equal_ids_are_placed_by_one_merge(self, tmp_path, monkeypatch):
+        # three tables from one run hold the same papers, a strict subset of the
+        # corpus: the first is placed on the corpus's index by one intersect1d,
+        # the others take its rows, and the report is byte for byte the one of
+        # the tables placed one by one
+        data = tmp_path / "data"
+        generate(SynthParams(n_papers=300, n_categories=16, seed=5,
+                             short_ref_fraction=0.2)).write(data)
+        out = tmp_path / "run"
+        names = ["JL-F-0.8", "U1-F-0.8", "U1-F-0.5"]
+        assert main(["run", "--dir", str(data), "--out", str(out),
+                     "--variants", ",".join(names)]) == 0
+        scheme = load_scheme(data / "scheme.csv")
+        corpus = cli._load_corpus(data, scheme)
+        tables = {v: read_classification(out / f"{v}.csv", scheme, label=v) for v in names}
+        assert len(tables["JL-F-0.8"].rows) < len(corpus)
+        report.write_report(tmp_path / "one-by-one", tables, scheme, corpus=corpus,
+                            origin="JL-F-0.8")
+        merges, intersect1d = [], np.intersect1d
+        monkeypatch.setattr(np, "intersect1d",
+                            lambda *a, **kw: merges.append(a) or intersect1d(*a, **kw))
+        assert main(["metrics", "--scheme", str(data / "scheme.csv"),
+                     *(arg for v in names for arg in ("--classification",
+                                                      f"{v}={out / v}.csv")),
+                     "--corpus-dir", str(data), "--origin", "JL-F-0.8",
+                     "--out", str(tmp_path / "report")]) == 0
+        assert len(merges) == 1
+        assert read_outputs(tmp_path / "report") == read_outputs(tmp_path / "one-by-one")
+
+    def test_table_of_other_ids_is_placed_on_its_own(self, corpus_dir, tmp_path,
+                                                     monkeypatch, one_paper_table):
+        # a one-paper table between two tables of one run: each of the three
+        # ends on the corpus's index with its own papers, and each of them
+        # differs in ids from the table before it, so each is merged
+        out = tmp_path / "run"
+        assert main(["run", "--dir", str(corpus_dir), "--out", str(out),
+                     "--variants", "JL-F-0.8,U1-F-0.8"]) == 0
+        paths = {"jl": out / "JL-F-0.8.csv", "x": one_paper_table,
+                 "u1": out / "U1-F-0.8.csv"}
+        scheme = load_scheme(corpus_dir / "scheme.csv")
+        corpus = cli._load_corpus(corpus_dir, scheme)
+        merges, intersect1d = [], np.intersect1d
+        monkeypatch.setattr(np, "intersect1d",
+                            lambda *a, **kw: merges.append(a) or intersect1d(*a, **kw))
+        placed = cli._read_classifications(paths, scheme, corpus)
+        assert len(merges) == 3
+        for name, path in paths.items():
+            own = read_classification(path, scheme)
+            assert placed[name].index is corpus.paper_ids
+            assert list(placed[name].paper_ids) == list(own.paper_ids)
+        assert len(placed["x"].rows) == 1
 
     def test_papers_without_references_get_nan_acv(self, short_refs_dir, tmp_path):
         report = tmp_path / "report"

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from refclass import engine
 from refclass import scheme as scheme_module
 from refclass.corpus import Corpus, CorpusError, eligible_rows, load_corpus
-from refclass.engine import (EngineConfig, EngineError, _Support, _accumulate,
-                             _propagate, _row_blocks, collect_rows, read_classification,
-                             run, write_classification)
+from refclass.engine import (EngineConfig, EngineError, _Support, _propagate,
+                             _row_blocks, collect_rows, read_classification, run,
+                             write_classification)
 from refclass.oracle import dense_run, max_component_difference
 from refclass.scheme import load_scheme
 from refclass.synth import SynthParams, generate
@@ -96,12 +96,15 @@ def scipy_row_normalize(m):
     return m, zero
 
 
-def accumulate(citations, w, scale=None):
-    """run()'s references x categories matrix for citing rows ``w``, as CSR."""
-    k = w.shape[1]
-    scaled = w.toarray() if scale is None else w.toarray() * scale[:, None]
-    refs = np.empty((citations.shape[0], k))
-    _accumulate(_row_blocks(citations, k), scaled, refs)
+def accumulate(incidence, w, scale=None, rows=None):
+    """run()'s references x categories matrix for the papers x references
+    ``incidence`` and citing rows ``w``, as CSR.  The support holds ``rows``
+    (all by default); the other rows cite as fixed rows."""
+    n, k = w.shape
+    rows = np.arange(n) if rows is None else rows
+    support = _Support(w, np.arange(n), rows, np.ones(n) if scale is None else scale)
+    refs = np.empty((incidence.shape[1], k))
+    support.cite(_row_blocks(incidence, k), refs)
     return sp.csr_matrix(refs)
 
 
@@ -110,9 +113,8 @@ def jl_step(blocks, refs, prev):
     rows, stalled)."""
     n, k = prev.shape
     support = _Support(prev, np.arange(n), np.arange(n), np.ones(n))
-    flat = np.zeros(n * k)
-    stalled = support.propagate(blocks, refs, flat)
-    support.advance(flat)
+    stalled = support.propagate(blocks, refs)
+    support.advance()
     return support.csr(), stalled
 
 
@@ -170,13 +172,14 @@ def product_operands(draw):
 @settings(max_examples=300, deadline=None)
 @given(product_operands())
 def test_matmul_equals_sparse_product_bit_for_bit(operands):
-    # the block kernels against scipy's products: _accumulate's dense rows are
-    # the normalized a @ b; the JL step's rows the normalized product masked by
-    # prev's support, _propagate's the unmasked one, with stalled rows taken
-    # from prev.  scipy's stall fallback leaves its rows in an order of its
-    # own, and _propagate's stalled rows keep prev's order: every later use
-    # sorts them, so both are compared in column order.  The JL step's rows
-    # are canonical as they are
+    # the block kernels against scipy's products: the citing pass's dense rows
+    # are the normalized a @ b, whether b's rows are the support's or fixed
+    # rows (a's transpose is then the incidence); the JL step's rows the
+    # normalized product masked by prev's support, _propagate's the unmasked
+    # one, with stalled rows taken from prev.  scipy's stall fallback leaves
+    # its rows in an order of its own, and _propagate's stalled rows keep
+    # prev's order: every later use sorts them, so both are compared in column
+    # order.  The JL step's rows are canonical as they are
     a, b, prev, masked = operands
     k = b.shape[1]
     refs, _ = scipy_row_normalize(sparse_product(a, b))
@@ -188,17 +191,55 @@ def test_matmul_equals_sparse_product_bit_for_bit(operands):
     for budget in (1, 2, k, engine._BLOCK_ENTRIES):
         with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
             blocks = _row_blocks(a, k)
-            dense = np.empty((a.shape[0], k))
-            _accumulate(blocks, b.toarray(), dense)
+            cited = [accumulate(a.T.tocsr(), b, rows=rows)
+                     for rows in (np.arange(b.shape[0]), np.arange(0, b.shape[0], 2))]
             out, stalled = (jl_step(blocks, b.toarray(), prev) if masked
                             else u1_rows(blocks, b.toarray(), prev))
         if not masked:
             out.sort_indices()
-        assert np.array_equal(dense, refs.toarray())
+        for dense in cited:
+            assert np.array_equal(dense.toarray(), refs.toarray())
         assert np.array_equal(stalled, zero)
         assert out.shape == rows.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(out, part), getattr(rows, part)), part
+
+
+@st.composite
+def citing_operands(draw):
+    """(incidence, x): papers x references counts 1-2 with empty rows and
+    columns, and a dense papers x categories ``x`` holding zeros."""
+    n, m, k = draw(st.integers(0, 9)), draw(st.integers(0, 7)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=n * m, max_size=n * m))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                           min_size=n * k, max_size=n * k))
+    return (sp.csr_matrix(np.array(cells, dtype=float).reshape(n, m)),
+            np.array(values).reshape(n, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(citing_operands(), st.sampled_from([1, 2, 7, engine._BLOCK_ENTRIES]))
+def test_csc_matvecs_adds_block_transposes_as_the_whole_product(operands, budget):
+    # the citing pass's one private scipy kernel: for a CSR paper block,
+    # csc_matvecs adds the block's transpose @ x into y in place.  Added block
+    # by block into one y from zero, it is bit-equal to scipy's product of the
+    # whole transpose; on whole-number operands, where every sum is exact, a
+    # nonzero y is added to, not overwritten
+    incidence, x = operands
+    m, k = incidence.shape[1], x.shape[1]
+    with mock.patch.object(engine, "_BLOCK_ENTRIES", budget):
+        blocks = _row_blocks(incidence, k)
+
+    def cite(x, y):
+        for lo, block in blocks:
+            engine.csc_matvecs(m, block.shape[0], k, block.indptr, block.indices,
+                               block.data, x[lo:lo + block.shape[0]].reshape(-1), y)
+        return y
+
+    assert np.array_equal(cite(x, np.zeros((m, k))), incidence.T.tocsr() @ x)
+    whole = np.ceil(4 * x)
+    start = np.arange(m * k, dtype=float).reshape(m, k) + 1
+    assert np.array_equal(cite(whole, start.copy()), start + incidence.T @ whole)
 
 
 def reference_run(corpus, config):
@@ -389,10 +430,10 @@ def test_shrink_then_stall_matches_the_sparse_composition():
                           per_paper_threshold=None, max_iterations=3, min_refs=0)
     steps, real = [], _Support.propagate
 
-    def propagate(support, blocks, refs, flat):
+    def propagate(support, blocks, refs):
         nnz = len(support.values)
-        zero = real(support, blocks, refs, flat)
-        steps.append((nnz, np.count_nonzero(flat[support.pos]), int(zero.sum())))
+        zero = real(support, blocks, refs)
+        steps.append((nnz, np.count_nonzero(support.values), int(zero.sum())))
         return zero
 
     with mock.patch.object(_Support, "propagate", propagate):
@@ -409,28 +450,27 @@ def test_shrink_then_stall_matches_the_sparse_composition():
 
 
 class TestAccumulate:
-    """_accumulate: references x categories from citing-paper rows."""
+    """_Support.cite: references x categories from citing-paper rows."""
 
     def test_single_citer_fixed_point(self):
         # p1 (1, 0) cites r1
-        refs = accumulate(csr([[1]]).T.tocsr(), csr([[1, 0]]))
+        refs = accumulate(csr([[1]]), csr([[1, 0]]))
         assert row_vectors(refs) == [{0: 1.0}]
 
     def test_symmetric_citers(self):
         # p1 (1, 0) and p2 (0, 1) both cite r1
-        refs = accumulate(csr([[1], [1]]).T.tocsr(), csr([[1, 0], [0, 1]]))
+        refs = accumulate(csr([[1], [1]]), csr([[1, 0], [0, 1]]))
         approx_vec(row_vectors(refs)[0], {0: 0.5, 1: 0.5})
 
     def test_fractional_divides_by_ref_count(self):
         # A: (1,0) with 1 ref; B: (0,1) with 4 refs -> (1, 0.25) -> (0.8, 0.2)
         incidence = csr([[1, 0, 0, 0], [1, 1, 1, 1]])
-        refs = accumulate(incidence.T.tocsr(), csr([[1, 0], [0, 1]]),
-                          np.array([1.0, 0.25]))
+        refs = accumulate(incidence, csr([[1, 0], [0, 1]]), np.array([1.0, 0.25]))
         approx_vec(row_vectors(refs)[0], {0: 0.8, 1: 0.2})
 
     def test_out_of_scope_reference_absent(self):
         # only p1 (citing r1) is in scope; r2 gets no weight at all
-        refs = accumulate(csr([[1, 0]]).T.tocsr(), csr([[1, 0]]))
+        refs = accumulate(csr([[1, 0]]), csr([[1, 0]]))
         assert row_vectors(refs) == [{0: 1.0}, {}]
 
 
@@ -447,9 +487,8 @@ class TestAccumulate:
         for row_scale in (np.ones(len(corpus)), inv):
             in_scope = np.zeros(len(corpus))
             in_scope[scope] = row_scale[scope]
-            kept = accumulate(incidence.T.tocsr(), w0, in_scope)
-            dropped = accumulate(incidence[scope].T.tocsr(), w0[scope],
-                                 row_scale[scope])
+            kept = accumulate(incidence, w0, in_scope)
+            dropped = accumulate(incidence[scope], w0[scope], row_scale[scope])
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(kept, part), getattr(dropped, part))
 
@@ -532,7 +571,7 @@ class TestRun:
         assert set(corpus.paper_ids) - set(jl.paper_ids) == {"p2"}
         assert jl.unreclassified == u1.unreclassified == 1
         incidence, w0, _ = corpus.matrices()
-        refs = accumulate(incidence.T.tocsr(), w0)
+        refs = accumulate(incidence, w0)
         r1 = corpus.ref_ids.tolist().index("r1")
         assert refs[r1, 1] > 0  # the short paper still contributed to r1
 

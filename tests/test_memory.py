@@ -83,12 +83,12 @@ def test_prune_of_short_rows_scans_no_entry_twice(threshold):
 
 def test_run_peak_on_dense_rows_is_bounded_in_dense_matrices(tmp_path):
     # a corpus like the dense-converge workload (285 categories, dense U1
-    # rows): the citing weights and blocks are dropped before the U1 pass
-    # allocates its rows, the citing blocks are the only copy of the
-    # transposed slots and the paper blocks are views of the incidence, and
-    # the JL support costs 12 bytes an entry, built from the journal rows one
-    # range at a time.  The traced peak is 3.12 papers x categories x 8 bytes
-    # (3.14 with a 24-byte support, 3.9 with a 44-byte support and the
+    # rows): the JL support is dropped before the U1 pass allocates its rows,
+    # the paper blocks are views of the incidence and serve both products, and
+    # the support is built from the journal rows one range at a time.  The U1
+    # rows assembled whole set the traced peak, 3.11 papers x categories x 8
+    # bytes, as with a 12-byte support and a papers x categories citing
+    # buffer (3.14 with a 24-byte support, 3.9 with a 44-byte support and the
     # journal rows held through the loop; 4.9 when the citing weights, the
     # blocks and the whole transpose stayed alive through the U1 pass)
     paths = generate(SynthParams(
@@ -107,12 +107,13 @@ def test_cli_weighting_without_a_raw_u1_variant_holds_no_u1_matrix(tmp_path):
     # the CLI's engine and prune path for one weighting, as on the
     # dense-converge workload (285 categories, nearly full U1 rows, JL and U1
     # pruned): the U1 rows are pruned one row block at a time as the U1 pass
-    # makes them, and the traced peak is 2.57 papers x
-    # categories x 8 bytes (2.67 with the support built in ranges of 2^16
-    # entries, 2.84 with a 24-byte support and a copy of the eligible
-    # incidence rows; 3.03 with the support's scatter in ranges of
-    # 2^16 entries; 3.11 when the U1 rows were assembled whole, 12 bytes per
-    # entry, and then pruned)
+    # makes them, and the JL loop holds no papers x categories buffer: the
+    # traced peak is 1.89 papers x categories x 8 bytes (2.57 with a papers x
+    # categories citing buffer and a 12-byte support, 2.67 with the support
+    # built in ranges of 2^16 entries, 2.84 with a 24-byte support and a copy
+    # of the eligible incidence rows; 3.03 with the support's scatter in
+    # ranges of 2^16 entries; 3.11 when the U1 rows were assembled whole, 12
+    # bytes per entry, and then pruned)
     paths = generate(SynthParams(
         n_papers=2000, n_categories=285, n_areas=26, seed=11, journal_noise=0.3,
         ref_noise=0.3, misc_fraction=0.1, multidisciplinary_fraction=0.2)).write(tmp_path)
@@ -128,7 +129,7 @@ def test_cli_weighting_without_a_raw_u1_variant_holds_no_u1_matrix(tmp_path):
 
     made, peak, _ = traced(weighting)
     assert made["U1-F-0.5"].weights.nnz >= len(corpus)
-    assert peak <= 2.6 * len(corpus) * 285 * 8
+    assert peak <= 1.9 * len(corpus) * 285 * 8
 
 
 def test_corpus_holds_the_journal_vectors_once_per_journal(tmp_path):
@@ -148,15 +149,15 @@ def test_corpus_holds_the_journal_vectors_once_per_journal(tmp_path):
     assert held < initial.data.nbytes + initial.indices.nbytes + initial.indptr.nbytes
 
 
-def test_jl_support_costs_at_most_16_bytes_per_entry():
-    # the support keeps a value and an int32 position in the citing buffer
-    # per entry (12 bytes; 24 with an int32 column, an int32 product position
-    # and a spare value, 44 with an intp flat position, an intp product
-    # position and a citing scale per entry), and each of its passes goes one
-    # row block or range at a time.  Built from the journal rows and stepped
-    # three times, with entries leaving, its traced peak is 12.4 bytes per
-    # entry (24.2 with the 24-byte entries); the blocks are cut small, so
-    # that their temporaries stay small beside it
+def test_jl_steps_cost_at_most_21_bytes_per_support_entry():
+    # the support keeps a value, its squared change and an int32 flat position
+    # per entry (20 bytes), and each of its passes goes one row block or range
+    # at a time.  The traced call allocates every buffer a step writes: built
+    # from the journal rows and stepped three times, with entries leaving, its
+    # peak is 20.5 bytes per entry.  With a 12-byte support that kept its new
+    # values in a papers x categories citing buffer (built in the call) it was
+    # 28.4; the blocks are cut small, so that their temporaries stay small
+    # beside it
     rng = np.random.default_rng(0)
     n, k, n_refs = 3000, 285, 400
     w0 = sp.random(n, k, density=0.5, format="csr", random_state=rng)
@@ -164,21 +165,40 @@ def test_jl_support_costs_at_most_16_bytes_per_entry():
     incidence.data[:] = 1.0
     refs = rng.random((n_refs, k))
     refs[:, ::7] = 0.0  # every seventh column's entries come out zero and leave
-    rows, scale, flat = np.arange(n), np.ones(n), np.zeros(n * k)
+    rows, scale = np.arange(n), np.ones(n)
 
     def steps():
         support = _Support(w0, rows, rows, scale)
         for _ in range(3):
-            support.propagate(blocks, refs, flat)
+            support.propagate(blocks, refs)
             support.residual()
-            support.advance(flat)
+            support.advance()
         return support
 
     with mock.patch.object(engine, "_BLOCK_ENTRIES", 1 << 12):
         blocks = _row_blocks(incidence, k)
         support, peak, _ = traced(steps)
     assert 0 < len(support.values) < 0.9 * w0.nnz
-    assert peak <= 16 * w0.nnz
+    assert peak <= 21 * w0.nnz
+
+
+def test_jl_loop_holds_no_papers_by_categories_buffer(tmp_path):
+    # on a corpus like the dense-converge workload, propagate() runs the JL
+    # loop and returns before the U1 pass starts.  Its only dense operand is
+    # the references x categories buffer: beside it the loop's traced peak
+    # is 0.741 papers x categories x 8 bytes (1.572 with a papers x
+    # categories citing buffer, its transposed citing blocks and a 12-byte
+    # support)
+    paths = generate(SynthParams(
+        n_papers=2000, n_categories=285, n_areas=26, seed=11, journal_noise=0.3,
+        ref_noise=0.3, misc_fraction=0.1, multidisciplinary_fraction=0.2)).write(tmp_path)
+    corpus = load_corpus(paths["papers"], paths["journals"], paths["references"],
+                         load_scheme(paths["scheme"]))
+    config = EngineConfig(fractional=True, convergence_threshold=1e-12,
+                          per_paper_threshold=None, max_iterations=5)
+    _, peak, _ = traced(engine.propagate, corpus, config)
+    refs = corpus.incidence.shape[1] * 285 * 8
+    assert peak - refs <= 0.75 * len(corpus) * 285 * 8
 
 
 def test_write_of_dense_rows_is_bounded_by_entries(tmp_path):
